@@ -1,8 +1,11 @@
-"""Benchmark scale selection and host CPU topology, importable
-without pytest.
+"""Benchmark scale selection, host CPU topology and bar declarations,
+importable without pytest.
 
 Shared by ``benchmarks/conftest.py`` (the pytest-benchmark path) and
-the ``bench_*.py`` script modes.
+the ``bench_*.py`` script modes.  A script that writes
+``BENCH_<stem>.json`` declares that payload's acceptance bars once, as
+a module-level ``BARS`` tuple of :class:`Bar`;
+``benchmarks/check_bench_floors.py`` reads every such declaration.
 """
 
 from __future__ import annotations
@@ -12,8 +15,10 @@ import json
 import os
 import re
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 __all__ = [
+    "Bar",
     "bench_scale",
     "cpu_info",
     "percentile",
@@ -25,11 +30,28 @@ __all__ = [
 
 # Version of the BENCH_*.json payload envelope: every payload carries
 # ``schema_version`` + ``cpu`` (stamped by write_bench_payload) so
-# downstream consumers (check_bench_floors, bench_trajectory) can
-# reject formats they don't understand instead of misreading them.
+# downstream consumers can reject formats they don't understand
+# instead of misreading them.
 SCHEMA_VERSION = 1
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+class Bar(NamedTuple):
+    """One acceptance bar of a bench payload.
+
+    ``path`` is dotted into the payload: ``*`` matches every key of a
+    mapping or row of a list, and an integer picks one row (``-1`` is
+    the last).  ``floor`` is the least passing value, or ``True`` for a
+    flag that must hold; a bar with a ``ceiling`` instead passes at
+    most that value.  ``when(payload)`` says whether the bar applies
+    (scale, a usable backend, host cores); ``None`` means always.
+    """
+
+    path: str
+    floor: float | bool | None = None
+    when: Callable[[dict], bool] | None = None
+    ceiling: float | None = None
 
 
 def bench_scale() -> str:

@@ -29,7 +29,7 @@ try:
 except ImportError:  # pragma: no cover - script-only environments
     pytest = None
 
-from benchmarks._scale import bench_script_main
+from benchmarks._scale import Bar, bench_script_main
 
 
 if pytest is not None:
@@ -63,6 +63,13 @@ if pytest is not None:
 from repro.experiments.exp_mpc_rounds import ALPHA, EPSILON, _FAITHFUL_SIZES
 
 _SAMPLE_BUDGET = 6
+
+# The paper-facing bar: with every machine held to S = O(n^α) words,
+# the faithful run returns the simulated dynamics' allocation.
+BARS = (
+    Bar("instances.*.allocations_match", True),
+    Bar("instances.*.space_violations", ceiling=0),
+)
 
 
 def run_round_ledger_benchmarks(scale: str) -> dict:

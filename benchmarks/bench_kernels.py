@@ -41,7 +41,7 @@ if not __package__:  # invoked as a script: self-contained path setup
     _root = Path(__file__).resolve().parents[1]
     sys.path.insert(0, str(_root))          # for benchmarks._scale
     sys.path.insert(0, str(_root / "src"))  # for repro (no PYTHONPATH needed)
-from benchmarks._scale import bench_scale, bench_script_main
+from benchmarks._scale import Bar, bench_scale, bench_script_main
 from repro.baselines.exact import solve_exact
 from repro.core.local_driver import solve_fractional_fixed_tau
 from repro.core.pipeline import solve_allocation, solve_allocation_many
@@ -117,6 +117,30 @@ if pytest is not None:
 # Script mode: all registered backends → BENCH_kernels.json
 # ----------------------------------------------------------------------
 _BACKENDS = ("reference", "optimized", "native")
+
+
+def _full_scale(payload: dict) -> bool:
+    return payload["scale"] == "full"
+
+
+def _full_scale_native(payload: dict) -> bool:
+    """The native floors hold on the full-scale ladder, where the
+    largest instance has enough edges for the fused pass to pay."""
+    return (
+        _full_scale(payload)
+        and payload["backend_availability"]["native"] == "available"
+    )
+
+
+# The two unconditional bars are the ones a smoke run can compare.
+BARS = (
+    Bar("optimized_beats_seed", True),
+    Bar("largest_instance_speedup", 1.0),
+    Bar("largest_instance_optimized_speedup", 1.2, when=_full_scale),
+    Bar("largest_instance_speedup", 5.0, when=_full_scale_native),
+    Bar("round_kernel.-1.native_speedup_vs_reference", 5.0, when=_full_scale_native),
+    Bar("round_kernel.-1.native_speedup_vs_optimized", 2.5, when=_full_scale_native),
+)
 
 
 def _time_round_kernel(instance, backend: str, rounds: int) -> tuple[float, np.ndarray]:

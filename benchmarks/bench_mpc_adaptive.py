@@ -20,12 +20,13 @@ the same number of words regardless of n) and the same budget cap:
 * **adaptive arm** — ``budget_policy="adaptive"`` with the same cap,
   walked up a ladder extending well past the fixed frontier.
 
-The recorded bar: the adaptive arm must complete at ≥ 4× the largest
-violation-free fixed-budget n.  Every adaptive run must also pass the
-driver's certificate crosscheck (the Theorem-2 certificate computed
-over the accounted cluster equals the host-side recomputation), and
-one size is re-run on both substrates with bit-identical allocations —
-a frontier reached by a wrong answer is worthless.  Adaptive peak
+The bar, declared in ``BARS``: the adaptive arm must complete at
+``_FRONTIER_THRESHOLD`` times the largest violation-free fixed-budget
+n.  Every adaptive run must also pass the driver's certificate
+crosscheck (the Theorem-2 certificate computed over the accounted
+cluster equals the host-side recomputation), and one size is re-run
+on both substrates with bit-identical allocations — a frontier
+reached by a wrong answer is worthless.  Adaptive peak
 machine words are additionally recorded against n so the tests can
 assert they grow *sublinearly* (the throttle keeps load near the
 safety band instead of tracking instance size).
@@ -56,7 +57,7 @@ if not __package__:  # invoked as a script: self-contained path setup
     _root = Path(__file__).resolve().parents[1]
     sys.path.insert(0, str(_root))          # for benchmarks._scale
     sys.path.insert(0, str(_root / "src"))  # for repro (no PYTHONPATH needed)
-from benchmarks._scale import bench_scale, bench_script_main, cpu_info
+from benchmarks._scale import Bar, bench_scale, bench_script_main, cpu_info
 from repro.core.mpc_driver import solve_allocation_mpc
 from repro.graphs.generators import skew_frontier_instance
 from repro.mpc.machine import SpaceViolation
@@ -69,6 +70,11 @@ _S_TARGET = 16384        # absolute words/machine, identical across the ladder
 _SAFETY = 0.8
 _FRONTIER_THRESHOLD = 4.0
 _SEED = 0
+
+BARS = (
+    Bar("frontier_ratio", _FRONTIER_THRESHOLD),
+    Bar("certificates_bit_checked", True),
+)
 
 # The fixed arm violates at n=48 under _S_TARGET (hub load at budget 6
 # exceeds S); ladders above it only matter for the adaptive arm.
@@ -221,7 +227,6 @@ def run_adaptive_benchmarks(scale: str) -> dict:
         "first_fixed_violation_n": min(violated),
         "largest_adaptive_n": largest_adaptive_n,
         "frontier_ratio": round(frontier_ratio, 3),
-        "frontier_bar": {"threshold": _FRONTIER_THRESHOLD, "met": met},
         "adaptive_peak_words_slope": round(slope, 4),
         "adaptive_peaks_sublinear": slope < 1.0,
         "certificates_bit_checked": certificates_ok and crosscheck["bit_identical"],

@@ -37,7 +37,7 @@ if not __package__:  # invoked as a script: self-contained path setup
     _root = Path(__file__).resolve().parents[1]
     sys.path.insert(0, str(_root))          # for benchmarks._scale
     sys.path.insert(0, str(_root / "src"))  # for repro (no PYTHONPATH needed)
-from benchmarks._scale import bench_scale, bench_script_main
+from benchmarks._scale import Bar, bench_scale, bench_script_main
 from repro.core.mpc_driver import solve_allocation_mpc
 from repro.graphs.generators import union_of_forests
 from repro.mpc.cluster import MPCCluster
@@ -58,6 +58,8 @@ _DRIVER_N = {"smoke": 16, "normal": 32, "full": 48}
 _DRIVER_SLACK = {"smoke": 512.0, "normal": 512.0, "full": 1024.0}
 
 _N = _SIZES[bench_scale()][-1]  # pytest path benchmarks the scale's largest size
+
+BARS = (Bar("columnar_beats_object", True), Bar("parity_checked", True))
 
 
 def _ledger(cluster) -> list[tuple]:

@@ -15,8 +15,8 @@ stress family (``slow_spread``) where convergence genuinely costs
   persist the session, hard-stop the service, start a new one against
   the same store, and time the first post-restore solve.  The restored
   session re-verifies the λ-free certificate before being declared
-  warm, so the first request warm-starts — the acceptance bar is a
-  ≥3x speedup over the cold first solve.
+  warm, so the first request warm-starts.  ``BARS`` holds the
+  speedup over the cold first solve to a floor.
 
 Run as a script to regenerate ``BENCH_service.json`` at the repo
 root::
@@ -39,7 +39,7 @@ if not __package__:  # invoked as a script: self-contained path setup
     _root = Path(__file__).resolve().parents[1]
     sys.path.insert(0, str(_root))          # for benchmarks._scale
     sys.path.insert(0, str(_root / "src"))  # for repro (no PYTHONPATH needed)
-from benchmarks._scale import bench_scale, bench_script_main, cpu_info, percentile
+from benchmarks._scale import Bar, bench_scale, bench_script_main, cpu_info, percentile
 from repro.graphs.generators import slow_spread_instance
 from repro.serve.service import AllocationService, ServiceClient
 from repro.serve.shm import instance_hash
@@ -51,6 +51,15 @@ _SIZES = {
     "full": (32, 40, 6, 6),
 }
 _EPSILON = 0.1
+
+BARS = (
+    Bar("restart_warmth.restart_speedup", 3.0),
+    Bar("restart_warmth.restored_warm_start", True),
+    # Latencies only have to be recorded: no bar bounds them yet.
+    Bar("concurrent_load.latency.p50_ms", 0.0),
+    Bar("concurrent_load.latency.p95_ms", 0.0),
+    Bar("concurrent_load.latency.p99_ms", 0.0),
+)
 
 
 def build_workload(scale: str):
@@ -164,7 +173,6 @@ def run_restart_warmth(scale: str) -> dict:
         "restored_first_solve_ms": round(restored_seconds * 1000.0, 3),
         "restored_warm_start": restored_warm,
         "restart_speedup": round(speedup, 3),
-        "meets_3x_bar": speedup >= 3.0,
     }
 
 

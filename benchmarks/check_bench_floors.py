@@ -1,322 +1,164 @@
-"""Guard: committed BENCH_*.json files must hold their recorded bars.
+"""Guard: BENCH_*.json payloads must hold the bars their benches declare.
 
-Every benchmark in this repository writes its acceptance bar *into*
-its payload (``meets_2x_bar``, ``meets_3x_bar``, ``scaling_bar`` …).
-That makes a regression self-documenting — and committable by
-accident: regenerate a payload on a bad build, commit it, and the
-repository now records a miss as if it were fine.  This script is the
-CI tripwire (the ``sharding`` job): it re-reads every committed
-payload and fails if any recorded bar is below its floor.
-
-Bars that are hardware-conditional (the sharding scaling bar needs a
-multi-core host) pass when the payload records them as not applicable
-— an honest "could not measure here" is not a regression; a recorded
-``"met": false`` is.
-
-Beyond the per-payload bars, the committed ``BENCH_trajectory.json``
-(written by ``bench_trajectory.py``) must agree bar-for-bar with the
-payloads it indexes — regenerating a payload without regenerating the
-trajectory is a stale-trajectory failure, and editing the trajectory
-by hand is a disagreement failure.  ``--diff FRESH_DIR`` compares a
-freshly recorded payload tree (e.g. a CI smoke run) against the
-*committed* trajectory's floors without touching the committed files.
+Each ``benchmarks/bench_<stem>.py`` that writes ``BENCH_<stem>.json``
+declares that payload's acceptance bars once, next to the code that
+measures them, as a module-level ``BARS`` tuple of
+:class:`benchmarks._scale.Bar`.  This script imports every bench that
+declares ``BARS``, reads its payload, and fails each applicable bar
+whose value is missing or beyond its floor (or ceiling), naming the
+bar.  It prints one line per bar: value, bound, and whether it is met
+or not applicable on the measuring host.
 
 Run from the repo root (exit code 0/1)::
 
     python benchmarks/check_bench_floors.py
     python benchmarks/check_bench_floors.py --diff /tmp/fresh_bench
+
+``--diff FRESH_DIR`` runs the same check on a freshly recorded tree
+(e.g. a CI smoke run): payloads the run did not produce are skipped,
+and a run in which no applicable bar was compared fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
+import re
 import sys
 from pathlib import Path
 
-if not __package__:  # invoked as a script: self-contained path setup
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
-
-from benchmarks.bench_trajectory import TRAJECTORY_SCHEMA, build_bars
-
 ROOT = Path(__file__).resolve().parents[1]
-TRAJECTORY_NAME = "BENCH_trajectory.json"
+if not __package__:  # invoked as a script: the benches import repro
+    sys.path[:0] = [str(ROOT), str(ROOT / "src")]
+
+MISSING = object()
 
 
-def _fail(name: str, message: str) -> str:
-    return f"{name}: {message}"
+def declared_bars() -> dict[str, tuple]:
+    """``{payload file name: BARS}`` for every bench declaring bars.
 
-
-def check_serving(payload: dict) -> list[str]:
-    problems = []
-    if payload.get("meets_2x_bar") is not True:
-        problems.append("meets_2x_bar is not true")
-    speedup = payload.get("session_speedup_over_cold", 0)
-    if not isinstance(speedup, (int, float)) or speedup < 2.0:
-        problems.append(f"session_speedup_over_cold {speedup!r} < 2.0 floor")
-    return problems
-
-
-def check_dynamic(payload: dict) -> list[str]:
-    problems = []
-    bars = payload.get("meets_3x_bar")
-    if not isinstance(bars, dict) or not bars:
-        problems.append("meets_3x_bar missing or empty")
-    else:
-        for scenario, met in bars.items():
-            if met is not True:
-                problems.append(f"meets_3x_bar[{scenario!r}] is not true")
-    return problems
-
-
-def check_kernels(payload: dict) -> list[str]:
-    problems = []
-    if payload.get("optimized_beats_seed") is not True:
-        problems.append("optimized_beats_seed is not true")
-    speedup = payload.get("largest_instance_speedup", 0)
-    if not isinstance(speedup, (int, float)) or speedup < 1.0:
-        problems.append(f"largest_instance_speedup {speedup!r} < 1.0 floor")
-    return problems
-
-
-def check_mpc_substrate(payload: dict) -> list[str]:
-    problems = []
-    if payload.get("columnar_beats_object") is not True:
-        problems.append("columnar_beats_object is not true")
-    if payload.get("parity_checked") is not True:
-        problems.append("parity_checked is not true")
-    return problems
-
-
-def check_mpc_adaptive(payload: dict) -> list[str]:
-    problems = []
-    bar = payload.get("frontier_bar")
-    if not isinstance(bar, dict):
-        problems.append("frontier_bar missing")
-        return problems
-    if bar.get("met") is not True:
-        problems.append(
-            f"frontier_bar not met (frontier_ratio="
-            f"{payload.get('frontier_ratio')!r}, "
-            f"threshold={bar.get('threshold')!r})"
-        )
-    ratio = payload.get("frontier_ratio", 0)
-    if not isinstance(ratio, (int, float)) or ratio < 4.0:
-        problems.append(f"frontier_ratio {ratio!r} < 4.0 floor")
-    if payload.get("certificates_bit_checked") is not True:
-        problems.append("certificates_bit_checked is not true")
-    return problems
-
-
-def check_sharding(payload: dict) -> list[str]:
-    problems = []
-    if payload.get("determinism_bit_identical") is not True:
-        problems.append("determinism_bit_identical is not true")
-    bar = payload.get("scaling_bar")
-    if not isinstance(bar, dict):
-        problems.append("scaling_bar missing")
-        return problems
-    if bar.get("applicable"):
-        if bar.get("met") is not True:
-            problems.append(
-                f"scaling_bar recorded as applicable but not met "
-                f"(speedup_4_workers={bar.get('speedup_4_workers')!r}, "
-                f"threshold={bar.get('threshold')!r})"
-            )
-    elif bar.get("applicable") is not False:
-        problems.append("scaling_bar.applicable must be true or false")
-    return problems
-
-
-def check_service(payload: dict) -> list[str]:
-    problems = []
-    warmth = payload.get("restart_warmth")
-    if not isinstance(warmth, dict):
-        problems.append("restart_warmth missing")
-        return problems
-    if warmth.get("meets_3x_bar") is not True:
-        problems.append("restart_warmth.meets_3x_bar is not true")
-    speedup = warmth.get("restart_speedup", 0)
-    if not isinstance(speedup, (int, float)) or speedup < 3.0:
-        problems.append(f"restart_speedup {speedup!r} < 3.0 floor")
-    if warmth.get("restored_warm_start") is not True:
-        problems.append("restored_warm_start is not true")
-    latency = (payload.get("concurrent_load") or {}).get("latency")
-    if not isinstance(latency, dict) or not all(
-        isinstance(latency.get(k), (int, float))
-        for k in ("p50_ms", "p95_ms", "p99_ms")
-    ):
-        problems.append("concurrent_load latency histogram incomplete")
-    return problems
-
-
-# One row per committed payload: (filename, required, checker).  The
-# e5 round-count payload records measurements without a bar — nothing
-# to guard there.
-CHECKS = (
-    ("BENCH_serving.json", True, check_serving),
-    ("BENCH_dynamic.json", True, check_dynamic),
-    ("BENCH_kernels.json", True, check_kernels),
-    ("BENCH_mpc_substrate.json", True, check_mpc_substrate),
-    ("BENCH_mpc_adaptive.json", True, check_mpc_adaptive),
-    ("BENCH_sharding.json", True, check_sharding),
-    ("BENCH_service.json", True, check_service),
-)
-
-
-def check_trajectory(root: Path) -> list[str]:
-    """The committed trajectory must mirror the payloads bar-for-bar.
-
-    Floors themselves are guarded by the per-payload checkers above;
-    this guards the *index*: every bar derivable from the committed
-    payloads appears in the trajectory with the identical entry, and
-    the trajectory holds no bar without a source.  Payloads already
-    reported missing/malformed by the per-payload pass are excluded
-    from the comparison rather than double-reported.
+    Only scripts whose source assigns ``BARS`` at module level are
+    imported, so the pytest-benchmark wrappers are never loaded.
     """
-    path = root / TRAJECTORY_NAME
-    if not path.exists():
-        return [_fail(TRAJECTORY_NAME, "missing from the repo root")]
-    try:
-        committed = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        return [_fail(TRAJECTORY_NAME, f"not valid JSON ({exc})")]
-    if committed.get("schema") != TRAJECTORY_SCHEMA:
-        return [
-            _fail(TRAJECTORY_NAME, f"unknown schema {committed.get('schema')!r}")
-        ]
-    recorded = committed.get("bars")
-    if not isinstance(recorded, dict):
-        return [_fail(TRAJECTORY_NAME, "bars mapping missing")]
-    problems = []
-    rebuilt, unreadable = build_bars(root, missing_ok=True)
-    for bar_id, entry in sorted(rebuilt.items()):
-        got = recorded.get(bar_id)
-        if got is None:
-            problems.append(
-                _fail(
-                    TRAJECTORY_NAME,
-                    f"bar {bar_id!r} missing — stale trajectory, "
-                    f"re-run benchmarks/bench_trajectory.py",
-                )
+    bars = {}
+    for script in sorted((ROOT / "benchmarks").glob("bench_*.py")):
+        if re.search(r"^BARS\b", script.read_text(), re.MULTILINE):
+            module = importlib.import_module(f"benchmarks.{script.stem}")
+            bars[f"BENCH_{script.stem[len('bench_'):]}.json"] = module.BARS
+    return bars
+
+
+def matches(node, path: str, done: str = ""):
+    """``(dotted path, value)`` for every match of ``path`` under
+    ``node``; a path that breaks off yields ``MISSING`` there."""
+    head, _, rest = path.partition(".")
+    keys: list = []
+    if isinstance(node, dict):
+        keys = list(node) if head == "*" else [head] if head in node else []
+    elif isinstance(node, list):
+        if head == "*":
+            keys = list(range(len(node)))
+        elif re.fullmatch(r"-?\d+", head) and -len(node) <= int(head) < len(node):
+            keys = [int(head)]
+    if not keys:
+        yield done + head, MISSING
+    for key in keys:
+        if rest:
+            yield from matches(node[key], rest, f"{done}{key}.")
+        else:
+            yield f"{done}{key}", node[key]
+
+
+def _holds(bar, value) -> bool:
+    if bar.floor is True:
+        return value is True
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return value >= bar.floor if bar.ceiling is None else value <= bar.ceiling
+
+
+def _check_payload(name: str, payload, bars) -> tuple[list[str], list[str], int]:
+    """``(lines, failures, compared)`` for one payload's bars."""
+    lines, failures, compared = [], [], 0
+    for bar in bars:
+        try:
+            applies = bar.when is None or bool(bar.when(payload))
+        except (KeyError, IndexError, TypeError) as exc:
+            failures.append(
+                f"{name} {bar.path}: cannot tell whether it applies ({exc!r})"
             )
-        elif got != entry:
-            problems.append(
-                _fail(
-                    TRAJECTORY_NAME,
-                    f"bar {bar_id!r} disagrees with its payload: "
-                    f"recorded {got!r}, payload says {entry!r}",
-                )
-            )
-    for bar_id in sorted(set(recorded) - set(rebuilt)):
-        entry = recorded[bar_id]
-        source = entry.get("file") if isinstance(entry, dict) else None
-        if source in unreadable:
             continue
-        problems.append(
-            _fail(TRAJECTORY_NAME, f"bar {bar_id!r} has no source payload")
+        bound = (
+            f"floor {json.dumps(bar.floor)}" if bar.ceiling is None
+            else f"ceiling {json.dumps(bar.ceiling)}"
         )
-    return problems
+        for path, value in matches(payload, bar.path):
+            shown = "missing" if value is MISSING else json.dumps(value)
+            if not applies:
+                verdict = "not applicable"
+            else:
+                compared += 1
+                verdict = "met" if _holds(bar, value) else "MISSED"
+            line = f"{name} {path}: {shown} ({bound}) {verdict}"
+            lines.append(line)
+            if verdict == "MISSED":
+                failures.append(line)
+    return lines, failures, compared
 
 
-def run_checks(root: Path = ROOT) -> list[str]:
-    """All floor failures under ``root`` (empty = every bar holds).
+def run_checks(root: Path = ROOT, *, fresh: bool = False) -> tuple[list[str], list[str]]:
+    """``(lines, failures)`` for the payloads under ``root``; no
+    failures means every applicable bar holds.
 
-    ``root`` is injectable so the checker itself is unit-testable
-    against synthetic payload trees (tests/test_check_bench_floors.py).
+    ``fresh`` is the ``--diff`` mode: payloads absent from ``root``
+    are skipped rather than failed, and comparing nothing fails.
     """
+    lines: list[str] = []
     failures: list[str] = []
-    for name, required, checker in CHECKS:
+    compared = 0
+    for name, bars in declared_bars().items():
         path = root / name
         if not path.exists():
-            if required:
-                failures.append(_fail(name, "missing from the repo root"))
+            if fresh:
+                lines.append(f"{name}: skipped, not in this run")
+            else:
+                failures.append(f"{name}: missing")
             continue
         try:
             payload = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            failures.append(_fail(name, f"not valid JSON ({exc})"))
+        except ValueError as exc:
+            failures.append(f"{name}: not valid JSON ({exc})")
             continue
-        for problem in checker(payload):
-            failures.append(_fail(name, problem))
-    failures.extend(check_trajectory(root))
-    return failures
-
-
-def diff_against_trajectory(
-    fresh_root: Path, root: Path = ROOT
-) -> tuple[list[str], list[str]]:
-    """``(failures, notes)`` comparing a fresh run to the committed floors.
-
-    Every bar derivable from the payloads under ``fresh_root`` is held
-    to the floor the *committed* trajectory records for it.  Payloads a
-    smoke run did not produce are noted and skipped; comparing nothing
-    at all is itself a failure (a vacuous pass hides a broken smoke
-    job).
-    """
-    try:
-        committed = json.loads((root / TRAJECTORY_NAME).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        return [_fail(TRAJECTORY_NAME, f"unreadable committed trajectory ({exc})")], []
-    recorded = committed.get("bars")
-    if committed.get("schema") != TRAJECTORY_SCHEMA or not isinstance(recorded, dict):
-        return [_fail(TRAJECTORY_NAME, "committed trajectory malformed")], []
-    fresh_bars, missing = build_bars(fresh_root, missing_ok=True)
-    failures: list[str] = []
-    notes: list[str] = [f"skipped {name}: not in fresh run" for name in missing]
-    compared = 0
-    for bar_id, fresh in sorted(fresh_bars.items()):
-        base = recorded.get(bar_id)
-        if base is None:
-            notes.append(f"new bar {bar_id}: not in committed trajectory")
-            continue
-        if not fresh["applicable"]:
-            notes.append(f"skipped {bar_id}: not applicable on this host")
-            continue
-        floor = base.get("floor")
-        value = fresh["value"]
-        compared += 1
-        held = value is True if isinstance(value, bool) else float(value) >= float(floor)
-        if not held:
-            failures.append(
-                f"{bar_id}: fresh value {value!r} below committed floor {floor!r}"
-            )
-    if compared == 0:
-        failures.append(
-            f"no fresh bars under {fresh_root} to compare against the trajectory"
-        )
-    return failures, notes
+        more_lines, more_failures, more_compared = _check_payload(name, payload, bars)
+        lines += more_lines
+        failures += more_failures
+        compared += more_compared
+    if fresh and compared == 0:
+        failures.append(f"no applicable bar to compare under {root}")
+    return lines, failures
 
 
 def main(root: Path = ROOT, argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     parser.add_argument(
         "--diff", metavar="FRESH_DIR", default=None,
-        help="compare freshly recorded BENCH_*.json under FRESH_DIR "
-             "against the committed trajectory floors",
+        help="check the BENCH_*.json of a fresh run under FRESH_DIR "
+             "instead of the committed ones",
     )
     args = parser.parse_args([] if argv is None else argv)
-    if args.diff:
-        failures, notes = diff_against_trajectory(Path(args.diff), root)
-        for note in notes:
-            print(f"  note: {note}")
-        if failures:
-            print("fresh-run regression(s) vs committed trajectory:", file=sys.stderr)
-            for failure in failures:
-                print(f"  - {failure}", file=sys.stderr)
-            return 1
-        print("fresh bars hold the committed trajectory floors")
-        return 0
-    failures = run_checks(root)
+    lines, failures = run_checks(
+        Path(args.diff) if args.diff else root, fresh=args.diff is not None
+    )
+    print("\n".join(lines))
     if failures:
-        print("benchmark floor regression(s):", file=sys.stderr)
+        print("benchmark bar regression(s):", file=sys.stderr)
         for failure in failures:
             print(f"  - {failure}", file=sys.stderr)
         return 1
-    print(
-        f"all {len(CHECKS)} benchmark payloads and the trajectory "
-        f"hold their recorded floors"
-    )
+    print("every applicable bar holds")
     return 0
 
 

@@ -1,9 +1,7 @@
-"""Coverage for remaining paths: logging, engine details, primitives
-edge cases, instance metadata, harness utilities."""
+"""Coverage for remaining paths: engine details, primitives edge
+cases, instance metadata, harness utilities."""
 
 from __future__ import annotations
-
-import logging
 
 import numpy as np
 import pytest
@@ -13,38 +11,6 @@ from repro.graphs.generators import star_instance, union_of_forests
 from repro.graphs.instances import AllocationInstance
 from repro.mpc.cluster import MPCCluster
 from repro.mpc.primitives import sample_sort, tree_broadcast, tree_reduce
-from repro.utils.logging import enable_progress_logging, get_logger, log_duration
-
-
-# ----------------------------------------------------------------------
-# logging utilities
-# ----------------------------------------------------------------------
-
-def test_get_logger_namespacing():
-    assert get_logger().name == "repro"
-    assert get_logger("mpc").name == "repro.mpc"
-
-
-def test_enable_progress_logging_idempotent():
-    logger = get_logger()
-    before = len(logger.handlers)
-    enable_progress_logging()
-    enable_progress_logging()
-    stream_handlers = [
-        h for h in logger.handlers if isinstance(h, logging.StreamHandler)
-    ]
-    assert len(stream_handlers) == max(1, len([h for h in logger.handlers[:before] if isinstance(h, logging.StreamHandler)]) or 1)
-    # cleanup
-    for h in stream_handlers:
-        logger.removeHandler(h)
-
-
-def test_log_duration(caplog):
-    logger = get_logger("test")
-    with caplog.at_level(logging.DEBUG, logger="repro.test"):
-        with log_duration(logger, "work"):
-            pass
-    assert any("work took" in rec.message for rec in caplog.records)
 
 
 # ----------------------------------------------------------------------
