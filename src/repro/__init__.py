@@ -3,9 +3,11 @@ Allocation in Uniformly Sparse Graphs" (SPAA 2025, arXiv:2506.04524).
 
 The supported entry point is the :mod:`repro.api` Engine façade —
 :class:`Engine` bound to a :class:`SolverConfig`, returning
-:class:`AllocationReport` results — re-exported here.  Pluggable
-implementations (kernel backends, MPC substrates, pipeline stages)
-register through :mod:`repro.registry`.
+:class:`AllocationReport` results — re-exported here.  The config is
+the only selector of the kernel backend, the MPC substrate and the
+pipeline knobs; new backends and substrates register with
+:func:`repro.kernels.register_backend` /
+:func:`repro.mpc.register_substrate`.
 
 Subpackages
 -----------
@@ -13,10 +15,6 @@ Subpackages
     The unified Engine façade: one typed :class:`SolverConfig`, one
     :class:`AllocationReport` result schema, one lifecycle over the
     cold, warm, MPC and dynamic paths (DESIGN.md §10).
-``repro.registry``
-    One ``register()``/``resolve()`` protocol over every pluggable
-    implementation axis (kernel backends, MPC substrates, pipeline
-    stages).
 ``repro.graphs``
     Bipartite graph substrate, workload generators, arboricity tools.
 ``repro.local``
@@ -27,7 +25,8 @@ Subpackages
     (object / columnar, DESIGN.md §7).
 ``repro.kernels``
     The unified kernel layer: segment primitives behind pluggable
-    backends (reference / optimized) and cached per-graph
+    backends (reference / optimized / native, plus the size-dispatching
+    auto) and cached per-graph
     :class:`~repro.kernels.RoundWorkspace` state (DESIGN.md §6).
 ``repro.core``
     The paper's algorithms: proportional allocation (Algorithm 1),
@@ -53,7 +52,7 @@ Subpackages
     deltas, and reproducible churn scenarios (DESIGN.md §9).
 """
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 from repro.graphs import AllocationInstance, BipartiteGraph, build_graph
 

@@ -1,14 +1,11 @@
 """repro.api — the unified Engine façade (DESIGN.md §10).
 
-One typed config, one plugin registry, one result schema across every
-solve path:
+One typed config and one result schema across every solve path:
 
 * :class:`SolverConfig` — a frozen, validated configuration (ε,
-  kernel backend, MPC substrate, execution mode, seed policy, stage
-  overrides) with a versioned JSON round trip; the single source of
-  truth that replaces scattered kwargs and the
-  ``REPRO_KERNEL_BACKEND`` / ``REPRO_MPC_SUBSTRATE`` environment
-  variables.
+  kernel backend, MPC substrate, execution mode, seed policy, pipeline
+  knobs) with a versioned JSON round trip; the only way to select a
+  backend, a substrate or a pipeline.
 * :class:`Engine` — context-manager lifecycle over the config:
   ``solve`` (cold pipeline), ``solve_mpc`` (fractional Theorem 3),
   ``open_session`` (warm resident serving), ``open_dynamic``
@@ -19,9 +16,10 @@ solve path:
   (allocation, certificate, stage records, round ledger) and a
   versioned ``to_json`` / ``from_json`` schema.
 
-Plugin registration lives in :mod:`repro.registry` (kinds
-``kernel_backend``, ``mpc_substrate``, ``pipeline_stage``) behind one
-``register()`` / ``resolve()`` protocol.
+Backends and substrates register in their own packages
+(:func:`repro.kernels.register_backend`,
+:func:`repro.mpc.register_substrate`); the config checks its names
+against them.
 
 Cold-path outputs are bit-identical to the historical entry points
 (:func:`repro.core.pipeline.solve_allocation`,

@@ -1,17 +1,15 @@
 """The one typed solver configuration (DESIGN.md §10).
 
-Four PRs of growth configured solves through a different mix of kwargs
-per entry point, two environment variables, and per-call stage
-overrides.  :class:`SolverConfig` is the replacement: a frozen
-dataclass that is the single source of truth for *how* to solve —
+:class:`SolverConfig` is the only way to select *how* to solve:
 approximation target, kernel backend, MPC substrate, execution mode,
-seed policy, and stage selection — validated eagerly against the
-unified :mod:`repro.registry`, and JSON round-trippable under a
-versioned schema so configurations travel with results.
+seed policy, and the knobs of the paper's fixed pipeline.  It is a
+frozen dataclass, validated eagerly against the registered backends
+and substrates, and JSON round-trippable under a versioned schema so
+configurations travel with results.
 
 Every field has the historical default, so ``SolverConfig()`` behaves
-exactly like the bare entry points it replaces — the cold-path parity
-tests in ``tests/test_api.py`` assert bit-identical outputs.
+exactly like the bare entry points — the cold-path parity tests in
+``tests/test_api.py`` assert bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -19,16 +17,17 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional
 
 import numpy as np
 
-from repro import registry
+from repro.kernels.backends import available_backends, backend_availability
+from repro.mpc.substrate import available_substrates
 from repro.utils.validation import check_fraction, check_positive_int
 
 __all__ = ["CONFIG_SCHEMA", "SolverConfig"]
 
-CONFIG_SCHEMA = "repro.api/SolverConfig/v1"
+CONFIG_SCHEMA = "repro.api/SolverConfig/v2"
 
 _MODES = ("simulate", "faithful")
 _BUDGET_POLICIES = ("fixed", "adaptive")
@@ -49,14 +48,13 @@ class SolverConfig:
     epsilon:
         The pipeline approximation parameter (ε ≤ 1/4, Theorem 17).
     backend:
-        Kernel backend name (``repro.registry`` kind
-        ``"kernel_backend"``); ``None`` leaves the process-active
-        backend untouched.  Replaces ``REPRO_KERNEL_BACKEND`` /
-        ``set_backend``.
+        Kernel backend name (one of
+        :func:`repro.kernels.available_backends`); ``None`` leaves the
+        process-active backend untouched.
     substrate:
-        Faithful-mode MPC substrate name (kind ``"mpc_substrate"``);
-        ``None`` leaves the active substrate untouched.  Replaces
-        ``REPRO_MPC_SUBSTRATE`` / ``set_substrate``.
+        Faithful-mode MPC substrate name (one of
+        :func:`repro.mpc.available_substrates`); ``None`` leaves the
+        active substrate untouched.
     mode:
         Fractional-solve validation mode: ``"simulate"`` (the scale
         path) or ``"faithful"`` (every communication step executed on
@@ -75,10 +73,6 @@ class SolverConfig:
     seed:
         Default seed for calls that do not pass one (the seed policy:
         explicit per-call seeds always win).
-    stages:
-        Explicit pipeline-stage names (kind ``"pipeline_stage"``), in
-        execution order; ``None`` selects the paper's default pipeline
-        shaped by ``repair``/``boost``.
     repair / boost / boost_epsilon / boost_mode / rounding_copies:
         The stage knobs, exactly as on
         :func:`repro.core.pipeline.solve_allocation`.
@@ -104,7 +98,6 @@ class SolverConfig:
     mpc_budget_policy: str = "fixed"
     mpc_safety_fraction: float = 0.8
     seed: Optional[int] = None
-    stages: Optional[tuple[str, ...]] = None
     repair: bool = True
     boost: bool = True
     boost_epsilon: Optional[float] = None
@@ -121,29 +114,25 @@ class SolverConfig:
             self, "epsilon", check_fraction(self.epsilon, "epsilon", inclusive_high=0.25)
         )
         if self.backend is not None:
-            if self.backend not in registry.available("kernel_backend"):
+            if self.backend not in available_backends():
                 raise ValueError(
                     f"unknown kernel backend {self.backend!r}; "
-                    f"available: {registry.available('kernel_backend')}"
+                    f"available: {available_backends()}"
                 )
             # Eager validation extends to host capability: a backend can
             # be registered yet unusable here (the native backend needs
             # a C compiler, DESIGN.md §11) — fail at config construction
             # with the actionable reason instead of at first solve.
-            from repro.kernels.backends import backend_availability
-
             reason = backend_availability(self.backend).get(self.backend)
             if reason is not None:
                 raise ValueError(
                     f"kernel backend {self.backend!r} is registered but "
                     f"unavailable on this host: {reason}"
                 )
-        if self.substrate is not None and self.substrate not in registry.available(
-            "mpc_substrate"
-        ):
+        if self.substrate is not None and self.substrate not in available_substrates():
             raise ValueError(
                 f"unknown MPC substrate {self.substrate!r}; "
-                f"available: {registry.available('mpc_substrate')}"
+                f"available: {available_substrates()}"
             )
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {list(_MODES)}, got {self.mode!r}")
@@ -173,19 +162,6 @@ class SolverConfig:
             raise ValueError(f"seed must be an integer or None, got {self.seed!r}")
         if self.seed is not None:
             object.__setattr__(self, "seed", int(self.seed))
-        if self.stages is not None:
-            if isinstance(self.stages, str):
-                raise ValueError(
-                    "stages must be a sequence of stage names, not a string"
-                )
-            stages = tuple(self.stages)
-            known = registry.available("pipeline_stage")
-            for name in stages:
-                if name not in known:
-                    raise ValueError(
-                        f"unknown pipeline stage {name!r}; available: {known}"
-                    )
-            object.__setattr__(self, "stages", stages)
         if self.boost_epsilon is not None:
             object.__setattr__(
                 self,
@@ -228,8 +204,7 @@ class SolverConfig:
     def mpc_options(self) -> dict[str, Any]:
         """Extra keywords for :func:`~repro.core.mpc_driver.solve_allocation_mpc`
         inside a pipeline's fractional stage — empty for the historical
-        defaults, so the default cold path stays the plain
-        :func:`~repro.core.pipeline.solve_allocation` call."""
+        defaults."""
         options: dict[str, Any] = {}
         if self.mode != "simulate":
             options["mode"] = self.mode
@@ -240,36 +215,12 @@ class SolverConfig:
             options["safety_fraction"] = self.mpc_safety_fraction
         return options
 
-    def build_stages(self):
-        """The configured stage tuple.
-
-        ``stages=None`` builds the paper's default pipeline
-        (:func:`repro.core.pipeline.default_stages` under the config's
-        knobs); explicit names resolve through the unified registry
-        (kind ``"pipeline_stage"``), each factory receiving this
-        config.
-        """
-        if self.stages is None:
-            from repro.core.pipeline import default_stages
-
-            return default_stages(
-                repair=self.repair,
-                boost=self.boost,
-                boost_epsilon=self.boost_epsilon,
-                boost_mode=self.boost_mode,  # type: ignore[arg-type]
-                lam=self.lam,
-                alpha=self.alpha,
-                rounding_copies=self.rounding_copies,
-                mpc_options=self.mpc_options(),
-            )
-        return tuple(
-            registry.resolve("pipeline_stage", name)(self) for name in self.stages
-        )
-
     def session_kwargs(self) -> dict[str, Any]:
-        """Constructor keywords for :class:`repro.serve.AllocationSession`
-        / :class:`repro.dynamic.DynamicSession` carrying this config's
-        defaults."""
+        """This config's pipeline knobs: the keywords of
+        :func:`repro.core.pipeline.solve_allocation` (besides the
+        instance, seed and warm state), and so the constructor keywords
+        of :class:`repro.serve.AllocationSession` /
+        :class:`repro.dynamic.DynamicSession`."""
         return {
             "epsilon": self.epsilon,
             "repair": self.repair,
@@ -287,10 +238,7 @@ class SolverConfig:
         """JSON-ready dict under the versioned schema."""
         payload: dict[str, Any] = {"schema": CONFIG_SCHEMA}
         for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if f.name == "stages" and value is not None:
-                value = list(value)
-            payload[f.name] = value
+            payload[f.name] = getattr(self, f.name)
         return payload
 
     def to_json(self) -> str:
@@ -311,11 +259,7 @@ class SolverConfig:
             raise ValueError(
                 f"unknown SolverConfig fields {sorted(extra)}; known: {sorted(known)}"
             )
-        kwargs = {k: v for k, v in payload.items() if k in known}
-        stages = kwargs.get("stages")
-        if isinstance(stages, Sequence) and not isinstance(stages, (str, bytes)):
-            kwargs["stages"] = tuple(stages)
-        return cls(**kwargs)
+        return cls(**{k: v for k, v in payload.items() if k in known})
 
     @classmethod
     def from_json(cls, text: str) -> "SolverConfig":

@@ -28,9 +28,12 @@ them on entry and restores the previous selection on exit; outside a
 the CLI's historical semantics.
 
 Parity contract (asserted in ``tests/test_api.py`` and CI): on the
-same :class:`SolverConfig`, ``Engine.solve`` is bit-identical to
-:func:`~repro.core.pipeline.solve_allocation` and ``Engine.solve_mpc``
-to :func:`~repro.core.mpc_driver.solve_allocation_mpc` — the façade
+same :class:`SolverConfig`, ``Engine.solve`` *is* a
+:func:`~repro.core.pipeline.solve_allocation` call with the config's
+knobs (:meth:`SolverConfig.session_kwargs`), so it equals that call,
+a cold session solve and a batch's cold first request report for
+report; ``Engine.solve_mpc`` is bit-identical to
+:func:`~repro.core.mpc_driver.solve_allocation_mpc` — the façade
 changes how solves are *addressed*, never what they compute.
 """
 
@@ -44,8 +47,11 @@ import numpy as np
 
 from repro.api.config import SolverConfig
 from repro.api.report import AllocationReport
+from repro.core.pipeline import solve_allocation
 from repro.dynamic.session import DynamicSession
 from repro.graphs.instances import AllocationInstance
+from repro.kernels.backends import _install_backend
+from repro.mpc.substrate import _install_substrate
 from repro.serve.session import AllocationSession, SolveRequest
 
 __all__ = ["Engine", "StreamResult"]
@@ -121,13 +127,9 @@ class Engine:
         if self._restore is None:
             prev_backend = prev_substrate = None
             if self.config.backend is not None:
-                from repro.kernels.backends import _set_backend_impl
-
-                prev_backend = _set_backend_impl(self.config.backend)
+                prev_backend = _install_backend(self.config.backend)
             if self.config.substrate is not None:
-                from repro.mpc.substrate import _set_substrate_impl
-
-                prev_substrate = _set_substrate_impl(self.config.substrate)
+                prev_substrate = _install_substrate(self.config.substrate)
             self._restore = (prev_backend, prev_substrate)
         return self
 
@@ -143,13 +145,9 @@ class Engine:
             prev_backend, prev_substrate = self._restore
             self._restore = None
             if prev_backend is not None:
-                from repro.kernels.backends import _set_backend_impl
-
-                _set_backend_impl(prev_backend)
+                _install_backend(prev_backend)
             if prev_substrate is not None:
-                from repro.mpc.substrate import _set_substrate_impl
-
-                _set_substrate_impl(prev_substrate)
+                _install_substrate(prev_substrate)
 
     def __enter__(self) -> "Engine":
         return self.activate()
@@ -208,59 +206,20 @@ class Engine:
 
         ``overrides`` are per-call :class:`SolverConfig` field
         overrides (re-validated); ``seed=None`` falls back to the
-        config's seed policy.  Bit-identical to
-        :func:`~repro.core.pipeline.solve_allocation` on the same
-        config (the parity test).
+        config's seed policy.  The report of the
+        :func:`~repro.core.pipeline.solve_allocation` call with the
+        config's knobs (the parity test).
         """
         config = self.config.replace(**overrides) if overrides else self.config
         if seed is None:
             seed = config.seed
         with self._scoped():
-            if (
-                config.stages is None
-                and config.rounding_copies is None
-                and not config.mpc_options()
-            ):
-                from repro.core.pipeline import solve_allocation
-
-                result = solve_allocation(
-                    instance,
-                    config.epsilon,
-                    boost_epsilon=config.boost_epsilon,
-                    lam=config.lam,
-                    alpha=config.alpha,
-                    repair=config.repair,
-                    boost=config.boost,
-                    boost_mode=config.boost_mode,  # type: ignore[arg-type]
-                    seed=seed,
-                    initial_exponents=initial_exponents,
-                )
-            else:
-                from repro.core.pipeline import run_pipeline
-
-                # Mirror solve_allocation's meta exactly (boost_epsilon
-                # resolved the same way), so the schema does not leak
-                # which internal branch ran; the extra knob appears
-                # only when set.
-                meta = {
-                    "epsilon": config.epsilon,
-                    "boost_epsilon": config.boost_epsilon
-                    if config.boost_epsilon is not None
-                    else max(config.epsilon, 0.25),
-                    "repair": config.repair,
-                    "boost": config.boost,
-                    "warm_start": initial_exponents is not None,
-                }
-                if config.rounding_copies is not None:
-                    meta["rounding_copies"] = config.rounding_copies
-                result = run_pipeline(
-                    instance,
-                    config.build_stages(),
-                    config.epsilon,
-                    seed=seed,
-                    initial_exponents=initial_exponents,
-                    meta=meta,
-                )
+            result = solve_allocation(
+                instance,
+                seed=seed,
+                initial_exponents=initial_exponents,
+                **config.session_kwargs(),
+            )
         return AllocationReport.from_pipeline(result)
 
     def solve_mpc(

@@ -29,9 +29,7 @@ the flags of ``solve``, ``batch`` and ``dynamic`` — ``--epsilon``,
 §6) and ``--substrate`` (faithful-mode MPC substrate, DESIGN.md §7) —
 build one :class:`repro.api.SolverConfig`, and the engine built from
 it owns the run.  ``--backend``/``--substrate`` are installed
-process-wide for the invocation (``Engine.activate``), matching the
-historical ``set_backend`` / ``set_substrate`` semantics those now
-deprecated shims provided.
+process-wide for the invocation (``Engine.activate``).
 """
 
 from __future__ import annotations
@@ -70,14 +68,15 @@ def _engine_from_args(args: argparse.Namespace, *, session_prefix: str = ""):
     input.
 
     Validation is reported in two historical voices: bad engine-
-    selection names (``--backend``/``--substrate``) print the registry
+    selection names (``--backend``/``--substrate``) print the config
     error as-is, while a bad session parameter (``--epsilon``) is
     prefixed with ``session_prefix`` so a flag problem is reported as
     one.  ``activate()`` (no paired restore) preserves the old
     install-process-wide flag semantics.
     """
-    from repro import registry
     from repro.api import Engine, SolverConfig
+    from repro.kernels import available_backends
+    from repro.mpc import available_substrates
 
     backend = getattr(args, "backend", None)
     substrate = getattr(args, "substrate", None)
@@ -100,14 +99,14 @@ def _engine_from_args(args: argparse.Namespace, *, session_prefix: str = ""):
         bad_engine_name = (
             backend is not None
             and (
-                backend not in registry.available("kernel_backend")
+                backend not in available_backends()
                 # registered but unusable on this host (e.g. "native"
                 # without a C compiler) is an engine-selection problem
                 or "unavailable on this host" in str(exc)
             )
         ) or (
             substrate is not None
-            and substrate not in registry.available("mpc_substrate")
+            and substrate not in available_substrates()
         )
         prefix = "" if bad_engine_name else session_prefix
         print(f"{prefix}{exc}", file=sys.stderr)

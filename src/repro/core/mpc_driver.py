@@ -524,7 +524,7 @@ def solve_allocation_mpc(
 
     ``substrate`` picks the faithful-mode cluster representation
     (``"object"`` / ``"columnar"``, DESIGN.md §7); ``None`` defers to
-    ``REPRO_MPC_SUBSTRATE``.  Both substrates produce identical round
+    the active substrate.  Both substrates produce identical round
     ledgers and bit-identical allocations (the parity suite); columnar
     is the scale path for faithful runs.
 

@@ -7,16 +7,15 @@ The paper's end-to-end algorithm composes three stages:
 2. §6 randomized rounding (Θ(1) integral, whp via parallel copies),
 3. Appendix-B boosting (`(1+ε)` integral).
 
-Historically :func:`solve_allocation` was a monolith wiring those
-together with keyword flags.  The serving layer (:mod:`repro.serve`,
-DESIGN.md §8) needs scenario-diverse configurations — skip-boost
-serving, rounding-only re-rolls, custom repair policies — so the
-composition is now explicit: each stage is a small object with one
-``run(ctx)`` method producing a :class:`StageRecord`, and
-:func:`run_pipeline` executes any stage sequence over a shared
-:class:`PipelineContext`.  :func:`solve_allocation` keeps its exact
-historical surface and randomness contract (bit-identical outputs for
-identical seeds) by building the default stage list.
+Each stage is a small object with one ``run(ctx)`` method producing a
+:class:`StageRecord`, and :func:`run_pipeline` executes any stage
+sequence over a shared :class:`PipelineContext`.  The paper's
+composition is fixed, so one function assembles it:
+:func:`solve_allocation` builds :func:`default_stages` from the knobs,
+resolves the boost ε, and writes the result's ``meta``.  Every solve
+path goes through it — :meth:`repro.api.Engine.solve`, session solves
+and re-rolls (:mod:`repro.serve`, DESIGN.md §8) — so one solve gets
+one report whichever path ran it.
 
 Randomness contract: one call spawns exactly three streams — slot 0
 drives the fractional solve, slot 1 drives rounding *and* the repair
@@ -226,21 +225,24 @@ class RepairStage:
         )
 
 
+def _boost_epsilon(boost_epsilon: Optional[float], epsilon: float) -> float:
+    """The boosting target: ``boost_epsilon`` if given, else
+    ``max(pipeline ε, 0.25)`` (the boosting k grows as 1/ε, so very
+    small ε targets are expensive)."""
+    return boost_epsilon if boost_epsilon is not None else max(epsilon, 0.25)
+
+
 @dataclass(frozen=True)
 class BoostStage:
     """Stage 3 — Appendix-B boosting towards (1+ε).
 
-    Consumes stream slot 2.  ``epsilon=None`` resolves to the
-    monolith's default ``max(pipeline ε, 0.25)`` (the boosting k grows
-    as 1/ε, so very small ε targets are expensive).
+    Consumes stream slot 2.  ``epsilon=None`` boosts towards
+    ``max(pipeline ε, 0.25)``.
     """
 
     epsilon: Optional[float] = None
     mode: Literal["layered", "deterministic"] = "layered"
     name: str = "boost"
-
-    def resolve_epsilon(self, pipeline_epsilon: float) -> float:
-        return self.epsilon if self.epsilon is not None else max(pipeline_epsilon, 0.25)
 
     def run(self, ctx: PipelineContext) -> StageRecord:
         if ctx.edge_mask is None:
@@ -249,7 +251,7 @@ class BoostStage:
         boosting = boost_allocation(
             ctx.instance,
             ctx.edge_mask,
-            self.resolve_epsilon(ctx.epsilon),
+            _boost_epsilon(self.epsilon, ctx.epsilon),
             mode=self.mode,
             seed=ctx.stream(BOOST_STREAM),
         )
@@ -274,7 +276,8 @@ def default_stages(
     rounding_copies: Optional[int] = None,
     mpc_options: Optional[dict[str, Any]] = None,
 ) -> tuple[PipelineStage, ...]:
-    """The paper's pipeline as a stage tuple (the monolith's shape)."""
+    """The paper's pipeline as a stage tuple: fractional → rounding →
+    [repair] → [boost]."""
     stages: list[PipelineStage] = [
         FractionalStage(alpha=alpha, lam=lam, options=dict(mpc_options or {})),
         RoundingStage(copies=rounding_copies),
@@ -396,28 +399,36 @@ def solve_allocation(
     repair: bool = True,
     boost: bool = True,
     boost_mode: Literal["layered", "deterministic"] = "layered",
+    rounding_copies: Optional[int] = None,
+    mpc_options: Optional[dict[str, Any]] = None,
     seed=None,
     workspace: Optional[RoundWorkspace] = None,
     initial_exponents: Optional[np.ndarray] = None,
+    cached_fractional: Optional[MPCResult] = None,
 ) -> PipelineResult:
     """Run the full paper pipeline on one instance.
 
-    Parameters mirror the stage drivers; ``boost_epsilon`` defaults to
-    ``max(epsilon, 0.25)`` (the boosting k grows as 1/ε, so very small
-    ε targets are expensive — pick it independently when needed).
-    Stages after the MPC solve are monotone: each can only grow the
-    allocation (asserted).  ``workspace`` lets batched callers reuse
-    the per-graph kernel workspace (see :func:`solve_allocation_many`);
+    The one assembler of the paper's pipeline (module docstring):
+    :func:`run_pipeline` over :func:`default_stages`, with the flags
+    selecting stages.  ``boost_epsilon`` defaults to
+    ``max(epsilon, 0.25)``; the resolved value, the stage flags,
+    ``rounding_copies`` and whether the solve was warm-started are
+    recorded in ``meta``.  Stages after the MPC solve are monotone:
+    each can only grow the allocation (asserted).
+
+    ``rounding_copies`` overrides the number of §6 rounding copies
+    (default O(log n)); ``mpc_options`` forwards extra keywords to
+    :func:`solve_allocation_mpc` (mode, substrate, budget policy).
+    ``workspace`` lets batched callers reuse the per-graph kernel
+    workspace (see :func:`solve_allocation_many`);
     ``initial_exponents`` warm-starts the fractional dynamics (the
     :class:`repro.serve.AllocationSession` path, DESIGN.md §8).
-
-    This is :func:`run_pipeline` over :func:`default_stages` — the
-    flags select stages, and outputs are bit-identical to the
-    historical monolith for identical seeds.
+    ``cached_fractional`` re-rounds an earlier fractional solve
+    instead of running one (the session's re-roll), and marks
+    ``meta["rounding_reroll"]``.
     """
     epsilon = check_fraction(epsilon, "epsilon", inclusive_high=0.25)
-    if boost_epsilon is None:
-        boost_epsilon = max(epsilon, 0.25)
+    boost_epsilon = _boost_epsilon(boost_epsilon, epsilon)
     stages = default_stages(
         repair=repair,
         boost=boost,
@@ -425,7 +436,19 @@ def solve_allocation(
         boost_mode=boost_mode,
         lam=lam,
         alpha=alpha,
+        rounding_copies=rounding_copies,
+        mpc_options=mpc_options,
     )
+    meta: dict[str, Any] = {
+        "boost_epsilon": boost_epsilon,
+        "repair": repair,
+        "boost": boost,
+        "rounding_copies": rounding_copies,
+        "warm_start": initial_exponents is not None,
+    }
+    if cached_fractional is not None:
+        stages = stages[1:]  # the cached solve replaces the fractional stage
+        meta["rounding_reroll"] = True
     return run_pipeline(
         instance,
         stages,
@@ -433,13 +456,8 @@ def solve_allocation(
         seed=seed,
         workspace=workspace,
         initial_exponents=initial_exponents,
-        meta={
-            "epsilon": epsilon,
-            "boost_epsilon": boost_epsilon,
-            "repair": repair,
-            "boost": boost,
-            "warm_start": initial_exponents is not None,
-        },
+        cached_fractional=cached_fractional,
+        meta=meta,
     )
 
 

@@ -9,9 +9,7 @@ Examples::
     python -m repro.experiments --list
 
 ``--backend`` / ``--substrate`` select the engine driving every solve
-(a :class:`repro.api.SolverConfig` activated for the run — the scoped
-replacement for exporting ``REPRO_KERNEL_BACKEND`` /
-``REPRO_MPC_SUBSTRATE`` around the harness).
+(a :class:`repro.api.SolverConfig` activated for the run).
 """
 
 from __future__ import annotations
@@ -47,12 +45,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--backend", default=None,
-        help="kernel backend driving every solve (repro.registry "
-             "kind 'kernel_backend')",
+        help="kernel backend driving every solve (one of "
+             "repro.kernels.available_backends())",
     )
     parser.add_argument(
         "--substrate", default=None,
-        help="faithful-mode MPC substrate (kind 'mpc_substrate')",
+        help="faithful-mode MPC substrate (one of "
+             "repro.mpc.available_substrates())",
     )
     args = parser.parse_args(argv)
 

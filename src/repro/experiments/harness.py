@@ -123,10 +123,8 @@ def run_experiment(
     ``config`` is the harness's driver selection: when given, the run
     executes inside an activated :class:`repro.api.Engine`, so the
     config's kernel backend and MPC substrate drive every solve the
-    experiment performs (the scoped replacement for exporting
-    ``REPRO_KERNEL_BACKEND`` / ``REPRO_MPC_SUBSTRATE`` around the
-    harness).  The selection is recorded as a table note so persisted
-    results say which engine produced them.
+    experiment performs.  The selection is recorded as a table note so
+    persisted results say which engine produced them.
     """
     spec = get_experiment(exp_id)
     if config is None:

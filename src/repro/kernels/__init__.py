@@ -12,9 +12,9 @@ in the same four segment primitives over a CSR side:
 * ``scatter_add``  — the bincount scatter back to vertices.
 
 This package isolates those primitives behind a backend registry
-(:func:`get_backend` / :func:`set_backend`, selectable via the
-``REPRO_KERNEL_BACKEND`` environment variable) with two built-in
-implementations:
+(:func:`register_backend` / :func:`get_backend`; select one with
+``repro.api.SolverConfig(backend=...)`` or scope one with
+:func:`use_backend`) with four built-in entries:
 
 * ``"reference"`` — plain NumPy, operation-for-operation identical to
   the historical per-module implementations (per-round ``np.repeat``
@@ -29,7 +29,10 @@ implementations:
   one pass over the CSR arrays (:mod:`repro.kernels.native`,
   DESIGN.md §11).  Registered everywhere but *available* only on
   hosts with a C compiler — :func:`backend_availability` reports the
-  reason when it is not.
+  reason when it is not;
+* ``"auto"`` — ``optimized`` below the measured ~4k-edge native
+  crossover, ``native`` above it, and ``optimized`` everywhere on a
+  host without a C compiler.
 
 The two numpy backends perform the same FP operations in the same
 order, so their trajectories are bit-identical — the parity tests in
@@ -52,7 +55,6 @@ from repro.kernels.backends import (
     backend_availability,
     get_backend,
     register_backend,
-    set_backend,
     use_backend,
 )
 from repro.kernels.rounds import proportional_round
@@ -73,7 +75,6 @@ __all__ = [
     "available_backends",
     "backend_availability",
     "get_backend",
-    "set_backend",
     "use_backend",
     "register_backend",
     "SegmentLayout",
@@ -93,8 +94,8 @@ __all__ = [
 
 # ----------------------------------------------------------------------
 # Module-level dispatchers: the convenience surface most consumers use.
-# Each resolves the active backend at call time so set_backend()/the
-# env var affect all call sites uniformly.
+# Each resolves the active backend at call time so a backend installed
+# by an Engine or use_backend() affects all call sites uniformly.
 # ----------------------------------------------------------------------
 def segment_sum(per_slot, indptr, *, layout=None):
     """Row sums of a CSR-aligned array; empty rows yield 0."""

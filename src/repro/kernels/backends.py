@@ -15,8 +15,8 @@ agrees to a few ulps wherever fusion folds row sums sequentially
 instead of numpy's SIMD/pairwise order — the parity suite pins both
 tiers.
 
-Selection: ``REPRO_KERNEL_BACKEND=reference|optimized|native`` in the
-environment, or :func:`set_backend` / :func:`use_backend` at runtime.
+Selection: ``repro.api.SolverConfig(backend=...)`` applied by an
+:class:`repro.api.Engine`, or :func:`use_backend` for a scoped block.
 The default is ``"optimized"``.  Backends can be *registered yet
 unavailable* on a host (``native`` needs a C compiler):
 :func:`backend_availability` reports the reason, and resolving an
@@ -27,8 +27,6 @@ See DESIGN.md §6 and §11.
 
 from __future__ import annotations
 
-import os
-import warnings
 from contextlib import contextmanager
 from typing import Callable, Dict, Optional, Union
 
@@ -45,11 +43,9 @@ __all__ = [
     "available_backends",
     "backend_availability",
     "get_backend",
-    "set_backend",
     "use_backend",
 ]
 
-ENV_VAR = "REPRO_KERNEL_BACKEND"
 DEFAULT_BACKEND = "optimized"
 
 
@@ -489,64 +485,36 @@ def _resolve(name_or_backend: Union[str, KernelBackend]) -> KernelBackend:
 
 
 def get_backend() -> KernelBackend:
-    """The active backend (initialized from ``REPRO_KERNEL_BACKEND``)."""
+    """The active backend (``DEFAULT_BACKEND`` until one is installed)."""
     global _ACTIVE
     if _ACTIVE is None:
-        if ENV_VAR in os.environ:
-            warnings.warn(
-                f"selecting the kernel backend via the {ENV_VAR} environment "
-                "variable is deprecated; pass "
-                "repro.api.SolverConfig(backend=...) to an Engine instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        _ACTIVE = _resolve(os.environ.get(ENV_VAR, DEFAULT_BACKEND))
+        _ACTIVE = _resolve(DEFAULT_BACKEND)
     return _ACTIVE
 
 
-def _set_backend_impl(name_or_backend: Union[str, KernelBackend]) -> KernelBackend:
-    """Install a backend globally; returns the previous one (no
-    deprecation warning — the :class:`repro.api.Engine` activation path
-    and :func:`use_backend` scoping route through here)."""
+def _install_backend(name_or_backend: Union[str, KernelBackend]) -> KernelBackend:
+    """Install a backend process-wide; returns the previous one (the
+    :class:`repro.api.Engine` activation path and :func:`use_backend`
+    route through here)."""
     global _ACTIVE
     previous = get_backend()
     _ACTIVE = _resolve(name_or_backend)
     return previous
 
 
-def set_backend(name_or_backend: Union[str, KernelBackend]) -> KernelBackend:
-    """Deprecated: install a backend globally; returns the previous one.
-
-    Deprecated in favour of :class:`repro.api.SolverConfig` — construct
-    ``SolverConfig(backend=...)`` and hand it to an
-    :class:`repro.api.Engine`, which scopes the selection to its
-    lifecycle instead of mutating process state forever.
-
-    The active backend is **process-global, not thread-local**: do not
-    switch backends while runs are stepping on other threads, or those
-    runs would silently mix backends mid-trajectory.  (Safe with the
-    built-in backends, which are bit-identical by contract, but not
-    with a third-party backend that isn't.)  Pick the backend before
-    fanning out concurrent work.
-    """
-    warnings.warn(
-        "repro.kernels.set_backend is deprecated; select the backend via "
-        "repro.api.SolverConfig(backend=...) and an Engine",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _set_backend_impl(name_or_backend)
-
-
 @contextmanager
 def use_backend(name_or_backend: Union[str, KernelBackend]):
     """Context manager: run a block under a specific backend.
 
-    Process-global while active, like :func:`set_backend` — see its
-    threading caveat.
+    The active backend is **process-global, not thread-local**: do not
+    switch backends while runs are stepping on other threads, or those
+    runs would silently mix backends mid-trajectory.  (Safe with the
+    built-in backends, which agree by contract, but not with a
+    third-party backend that does not.)  Pick the backend before
+    fanning out concurrent work.
     """
-    previous = _set_backend_impl(name_or_backend)
+    previous = _install_backend(name_or_backend)
     try:
         yield get_backend()
     finally:
-        _set_backend_impl(previous)
+        _install_backend(previous)

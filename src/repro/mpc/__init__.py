@@ -9,7 +9,7 @@ Two substrates implement the accounting (DESIGN.md §7): the object
 reference (:class:`MPCCluster`, Python tuples) and the vectorized
 columnar cluster (:class:`ColumnarCluster`, typed column batches with
 dtype-based word pricing).  Selection mirrors the kernel backends:
-``REPRO_MPC_SUBSTRATE`` or :func:`set_substrate`/:func:`use_substrate`;
+``repro.api.SolverConfig(substrate=...)`` or :func:`use_substrate`;
 both produce bit-identical ledgers and trajectories.
 """
 
@@ -22,7 +22,6 @@ from repro.mpc.substrate import (
     get_substrate,
     make_cluster,
     register_substrate,
-    set_substrate,
     use_substrate,
 )
 from repro.mpc.primitives import (
@@ -57,7 +56,6 @@ __all__ = [
     "get_substrate",
     "make_cluster",
     "register_substrate",
-    "set_substrate",
     "use_substrate",
     "fan_out",
     "tree_depth",

@@ -198,8 +198,8 @@ def cluster_for(
     the usual constant-factor headroom for shuffles.
 
     ``substrate`` selects the record representation (``"object"`` or
-    ``"columnar"``, DESIGN.md §7); ``None`` defers to the registry's
-    active substrate (``REPRO_MPC_SUBSTRATE`` / ``set_substrate``).
+    ``"columnar"``, DESIGN.md §7); ``None`` defers to the active
+    substrate (``SolverConfig(substrate=...)`` / ``use_substrate``).
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")

@@ -14,15 +14,14 @@ on.  Two are built in:
 The contract, mirroring the kernel-backend contract (§6.3): both
 substrates execute the **same communication pattern** and therefore
 produce bit-identical round ledgers, budget violations, and numeric
-trajectories — the parity suite asserts it.  Selection mirrors
-``REPRO_KERNEL_BACKEND``: the ``REPRO_MPC_SUBSTRATE`` environment
-variable, or :func:`set_substrate` / :func:`use_substrate` at runtime.
+trajectories — the parity suite asserts it.  Selection mirrors the
+kernel backends: ``repro.api.SolverConfig(substrate=...)`` applied by
+an :class:`repro.api.Engine`, or :func:`use_substrate` for a scoped
+block.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
 from contextlib import contextmanager
 from typing import Callable, Dict
 
@@ -30,22 +29,19 @@ from repro.mpc.cluster import MPCCluster
 from repro.mpc.columnar import ColumnarCluster
 
 __all__ = [
-    "ENV_VAR",
     "DEFAULT_SUBSTRATE",
     "register_substrate",
     "available_substrates",
     "get_substrate",
-    "set_substrate",
     "use_substrate",
     "make_cluster",
 ]
 
-ENV_VAR = "REPRO_MPC_SUBSTRATE"
 DEFAULT_SUBSTRATE = "columnar"
 
 # A factory builds a cluster: factory(n_machines, words_per_machine, strict).
 _FACTORIES: Dict[str, Callable[[int, int, bool], object]] = {}
-_ACTIVE: str | None = None
+_ACTIVE: str = DEFAULT_SUBSTRATE
 
 
 def register_substrate(name: str, factory: Callable[[int, int, bool], object]) -> None:
@@ -75,57 +71,34 @@ def _validate(name: str) -> str:
 
 
 def get_substrate() -> str:
-    """The active substrate name (initialized from ``REPRO_MPC_SUBSTRATE``)."""
-    global _ACTIVE
-    if _ACTIVE is None:
-        if ENV_VAR in os.environ:
-            warnings.warn(
-                f"selecting the MPC substrate via the {ENV_VAR} environment "
-                "variable is deprecated; pass "
-                "repro.api.SolverConfig(substrate=...) to an Engine instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        _ACTIVE = _validate(os.environ.get(ENV_VAR, DEFAULT_SUBSTRATE))
+    """The active substrate name (``DEFAULT_SUBSTRATE`` until one is
+    installed)."""
     return _ACTIVE
 
 
-def _set_substrate_impl(name: str) -> str:
-    """Install a substrate globally; returns the previous one (no
-    deprecation warning — the :class:`repro.api.Engine` activation path
-    and :func:`use_substrate` scoping route through here)."""
+def _install_substrate(name: str) -> str:
+    """Install a substrate process-wide; returns the previous one (the
+    :class:`repro.api.Engine` activation path and :func:`use_substrate`
+    route through here)."""
     global _ACTIVE
-    previous = get_substrate()
+    previous = _ACTIVE
     _ACTIVE = _validate(name)
     return previous
 
 
-def set_substrate(name: str) -> str:
-    """Deprecated: install a substrate globally; returns the previous one.
-
-    Deprecated in favour of :class:`repro.api.SolverConfig` — construct
-    ``SolverConfig(substrate=...)`` and hand it to an
-    :class:`repro.api.Engine`.  Process-global like the kernel-backend
-    selection (same threading caveat): pick the substrate before
-    fanning out concurrent cluster construction.
-    """
-    warnings.warn(
-        "repro.mpc.set_substrate is deprecated; select the substrate via "
-        "repro.api.SolverConfig(substrate=...) and an Engine",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _set_substrate_impl(name)
-
-
 @contextmanager
 def use_substrate(name: str):
-    """Context manager: build clusters on a specific substrate."""
-    previous = _set_substrate_impl(name)
+    """Context manager: build clusters on a specific substrate.
+
+    Process-global like the kernel-backend selection (same threading
+    caveat): pick the substrate before fanning out concurrent cluster
+    construction.
+    """
+    previous = _install_substrate(name)
     try:
         yield get_substrate()
     finally:
-        _set_substrate_impl(previous)
+        _install_substrate(previous)
 
 
 def make_cluster(

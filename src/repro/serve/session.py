@@ -22,9 +22,11 @@ certificate is asserted on every warm solve, and the integral output
 is re-checked for feasibility — a warm solve can be faster, never
 less validated.
 
-Cold solves (``warm=False``) are bit-identical to
-:func:`~repro.core.pipeline.solve_allocation` for the same seed — the
-session only changes *where* state lives, never cold semantics.
+Every session solve and re-roll is a
+:func:`~repro.core.pipeline.solve_allocation` call, so a cold solve
+(``warm=False``) returns the same result, ``meta`` included, as that
+call for the same seed — the session only changes *where* state lives,
+never cold semantics.
 """
 
 from __future__ import annotations
@@ -35,14 +37,7 @@ from typing import Any, Literal, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.core.pipeline import (
-    BoostStage,
-    PipelineResult,
-    RepairStage,
-    RoundingStage,
-    default_stages,
-    run_pipeline,
-)
+from repro.core.pipeline import PipelineResult, solve_allocation
 from repro.graphs.capacities import validate_integral_allocation
 from repro.graphs.instances import AllocationInstance
 from repro.kernels import workspace_for
@@ -86,9 +81,13 @@ class SolveRequest:
     def from_json(cls, obj: Mapping[str, Any]) -> "SolveRequest":
         """Build a request from one decoded JSONL object.
 
-        Unknown keys, wrong-typed scalars, and non-integer capacities
-        are all rejected so malformed request files fail loudly instead
-        of silently doing something different from what was written.
+        Unknown keys, wrong-typed scalars, out-of-range values
+        (``seed`` < 0, ``rounding_copies`` < 1, a capacity < 1) and
+        non-integer capacities are all rejected so malformed request
+        files fail loudly instead of silently doing something different
+        from what was written.  Only the vertex ids of
+        ``capacity_updates`` wait for the solve, which knows the
+        instance.
         """
         known = {f for f in cls.__dataclass_fields__}
         extra = set(obj) - known
@@ -118,9 +117,15 @@ class SolveRequest:
                     f"request field {field_name!r} must be {expected}, "
                     f"got {value!r}"
                 )
-        # Domain checks at parse time, so a bad ε is reported with its
-        # line number instead of failing mid-batch (same validators the
+        # Domain checks at parse time, so a bad value is reported with
+        # its line number instead of failing mid-batch (same bounds the
         # solve itself applies).
+        for field_name, low in (("seed", 0), ("rounding_copies", 1)):
+            value = kwargs.get(field_name)
+            if value is not None and value < low:
+                raise ValueError(
+                    f"request field {field_name!r} must be >= {low}, got {value!r}"
+                )
         if kwargs.get("epsilon") is not None:
             check_fraction(kwargs["epsilon"], "epsilon", inclusive_high=0.25)
         if kwargs.get("boost_epsilon") is not None:
@@ -137,6 +142,8 @@ class SolveRequest:
                     raise ValueError(
                         f"capacities[{i}] must be an integer, got {v!r}"
                     )
+                if v < 1:
+                    raise ValueError(f"capacities[{i}] must be >= 1, got {v!r}")
         updates = kwargs.get("capacity_updates")
         if updates is not None:
             if not isinstance(updates, Mapping):
@@ -146,10 +153,14 @@ class SolveRequest:
                 )
             cleaned: dict[int, int] = {}
             for k, v in updates.items():
-                if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                if not _is_int(v):
                     raise ValueError(
                         f"capacity_updates[{k!r}] must be an integer "
                         f"capacity, got {v!r}"
+                    )
+                if v < 1:
+                    raise ValueError(
+                        f"capacity_updates[{k!r}] must be >= 1, got {v!r}"
                     )
                 cleaned[int(k)] = int(v)
             kwargs["capacity_updates"] = cleaned
@@ -337,41 +348,6 @@ class AllocationSession:
             return self.instance.with_capacities(caps)
         return self.instance
 
-    def _stages(self, request: SolveRequest):
-        repair = self.repair if request.repair is None else request.repair
-        boost = self.boost if request.boost is None else request.boost
-        # boost_epsilon=None flows through to BoostStage, which owns
-        # the max(ε, 0.25) default — one resolver, not three.
-        boost_epsilon = (
-            request.boost_epsilon
-            if request.boost_epsilon is not None
-            else self.boost_epsilon
-        )
-        copies = (
-            request.rounding_copies
-            if request.rounding_copies is not None
-            else self.rounding_copies
-        )
-        stages = default_stages(
-            repair=repair,
-            boost=boost,
-            boost_epsilon=boost_epsilon,
-            boost_mode=self.boost_mode,
-            lam=self.lam,
-            alpha=self.alpha,
-            rounding_copies=copies,
-            mpc_options=self.mpc_options,
-        )
-        # Effective per-request config, recorded in result.meta so a
-        # re-roll can reproduce the configuration it re-rounds.
-        config = {
-            "repair": repair,
-            "boost": boost,
-            "boost_epsilon": boost_epsilon,
-            "rounding_copies": copies,
-        }
-        return stages, config
-
     def solve_detached(
         self,
         request: Optional[SolveRequest] = None,
@@ -382,26 +358,30 @@ class AllocationSession:
         """Solve one request from an explicit warm base without touching
         session state (the batch executor's building block).
 
-        ``initial_exponents=None`` is a cold solve — bit-identical to
-        :func:`~repro.core.pipeline.solve_allocation` for the same
-        effective parameters and seed.
+        ``initial_exponents=None`` is a cold solve — the
+        :func:`~repro.core.pipeline.solve_allocation` result for the
+        same effective parameters and seed.
         """
         request = self._normalize(request, overrides)
         instance = self._request_instance(request)
-        epsilon = request.epsilon if request.epsilon is not None else self.epsilon
-        stages, config = self._stages(request)
-        result = run_pipeline(
+
+        def knob(requested, default):
+            return default if requested is None else requested
+
+        result = solve_allocation(
             instance,
-            stages,
-            epsilon,
+            knob(request.epsilon, self.epsilon),
+            boost_epsilon=knob(request.boost_epsilon, self.boost_epsilon),
+            lam=self.lam,
+            alpha=self.alpha,
+            repair=knob(request.repair, self.repair),
+            boost=knob(request.boost, self.boost),
+            boost_mode=self.boost_mode,
+            rounding_copies=knob(request.rounding_copies, self.rounding_copies),
+            mpc_options=self.mpc_options,
             seed=request.seed,
             workspace=self.workspace,
             initial_exponents=initial_exponents,
-            meta={
-                **config,
-                "warm_start": initial_exponents is not None,
-                "tag": request.tag,
-            },
         )
         with self._lock:
             self.stats.solves += 1
@@ -457,29 +437,22 @@ class AllocationSession:
         if last is None:
             raise RuntimeError("no completed solve to re-roll; call solve() first")
         instance = last.instance if last.instance is not None else self.instance
-        epsilon = last.meta.get("epsilon", self.epsilon)
-        do_repair = last.meta.get("repair", self.repair) if repair is None else repair
-        do_boost = last.meta.get("boost", self.boost) if boost is None else boost
-        if copies is None:
-            copies = last.meta.get("rounding_copies", self.rounding_copies)
-        stages: list = [RoundingStage(copies=copies)]
-        if do_repair:
-            stages.append(RepairStage())
-        if do_boost:
-            stages.append(
-                BoostStage(
-                    epsilon=last.meta.get("boost_epsilon", self.boost_epsilon),
-                    mode=self.boost_mode,
-                )
-            )
-        result = run_pipeline(
+        meta = last.meta
+        result = solve_allocation(
             instance,
-            stages,
-            epsilon,
+            meta.get("epsilon", self.epsilon),
+            boost_epsilon=meta.get("boost_epsilon", self.boost_epsilon),
+            repair=meta.get("repair", self.repair) if repair is None else repair,
+            boost=meta.get("boost", self.boost) if boost is None else boost,
+            boost_mode=self.boost_mode,
+            rounding_copies=(
+                meta.get("rounding_copies", self.rounding_copies)
+                if copies is None
+                else copies
+            ),
             seed=seed,
             workspace=self.workspace,
             cached_fractional=last.mpc,
-            meta={"rounding_reroll": True},
         )
         check_integral_feasible(instance, result.edge_mask)
         with self._lock:

@@ -1,5 +1,5 @@
 """The repro.api façade: config validation, Engine parity, report
-schema, unified registry (DESIGN.md §10).
+schema (DESIGN.md §10).
 
 The load-bearing contract: on the same :class:`SolverConfig`,
 ``Engine.solve`` is bit-identical to
@@ -15,7 +15,6 @@ import json
 import numpy as np
 import pytest
 
-from repro import registry
 from repro.api import (
     CONFIG_SCHEMA,
     AllocationReport,
@@ -26,6 +25,7 @@ from repro.core.mpc_driver import solve_allocation_mpc
 from repro.core.pipeline import solve_allocation
 from repro.graphs.generators import union_of_forests
 from repro.kernels import use_backend
+from repro.serve import AllocationSession, SolveRequest
 
 
 @pytest.fixture
@@ -66,15 +66,6 @@ def test_config_unknown_substrate_lists_choices():
         SolverConfig(substrate="nope")
 
 
-def test_config_unknown_stage_lists_choices():
-    with pytest.raises(ValueError, match=r"unknown pipeline stage 'polish'"):
-        SolverConfig(stages=("fractional", "polish"))
-    with pytest.raises(
-        ValueError, match=r"available: \['boost', 'fractional', 'repair', 'rounding'\]"
-    ):
-        SolverConfig(stages=("polish",))
-
-
 @pytest.mark.parametrize(
     "bad",
     [
@@ -88,7 +79,6 @@ def test_config_unknown_stage_lists_choices():
         {"rounding_copies": 0},
         {"lam": 0},
         {"max_workers": 0},
-        {"stages": "rounding"},  # a string is not a sequence of names
     ],
 )
 def test_config_rejects_bad_fields(bad):
@@ -103,7 +93,6 @@ def test_config_json_round_trip():
         substrate="object",
         mode="faithful",
         seed=7,
-        stages=("fractional", "rounding", "repair"),
         repair=False,
         boost=False,
         rounding_copies=3,
@@ -114,7 +103,6 @@ def test_config_json_round_trip():
     assert SolverConfig.from_json(config.to_json()) == config
     payload = config.to_dict()
     assert payload["schema"] == CONFIG_SCHEMA
-    assert payload["stages"] == ["fractional", "rounding", "repair"]
     assert SolverConfig.from_dict(payload) == config
 
 
@@ -165,16 +153,6 @@ def test_engine_solve_parity_under_reference_backend(instance):
     assert report.summary() == direct.summary()
 
 
-def test_engine_solve_explicit_stage_names_parity(instance):
-    config = SolverConfig(stages=("fractional", "rounding", "repair"), seed=4)
-    report = Engine(config).solve(instance)
-    direct = solve_allocation(instance, 0.2, seed=4, boost=False)
-    assert np.array_equal(report.edge_mask, direct.edge_mask)
-    assert [r.stage for r in report.stage_records] == [
-        "fractional", "rounding", "repair",
-    ]
-
-
 def test_engine_solve_mpc_parity(instance):
     config = SolverConfig(seed=5)
     report = Engine(config).solve_mpc(instance)
@@ -217,6 +195,27 @@ def test_engine_per_call_config_overrides(instance):
     assert np.array_equal(report.edge_mask, direct.edge_mask)
     with pytest.raises(ValueError):
         engine.solve(instance, epsilon=0.9)
+
+
+def test_one_solve_one_report_on_every_path(instance):
+    """One instance, knob set and seed: the Engine, the bare entry
+    point, a cold session solve and a batch's first request report
+    the same thing, ``meta`` included."""
+    config = SolverConfig(rounding_copies=2, seed=5)
+    with Engine(config) as engine:
+        reports = [
+            engine.solve(instance),
+            engine.batch(instance, [SolveRequest(seed=5), SolveRequest(seed=6)])[0],
+        ]
+    direct = solve_allocation(instance, 0.2, rounding_copies=2, seed=5)
+    cold = AllocationSession(instance, rounding_copies=2).solve(SolveRequest(seed=5))
+    reports += [AllocationReport.from_pipeline(r) for r in (direct, cold)]
+    expected = reports[0].to_dict()
+    assert expected["meta"]["boost_epsilon"] == 0.25
+    assert expected["meta"]["rounding_copies"] == 2
+    assert not expected["meta"]["warm_start"]
+    for report in reports[1:]:
+        assert report.to_dict() == expected
 
 
 def test_engine_rounding_copies_override(instance):
@@ -390,63 +389,17 @@ def test_engine_generate_and_load_instance(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# The unified registry
+# Backend registration
 # ----------------------------------------------------------------------
 
-def test_registry_kinds_and_availability():
-    assert registry.KINDS == ("kernel_backend", "mpc_substrate", "pipeline_stage")
-    assert set(registry.available("kernel_backend")) >= {"optimized", "reference"}
-    assert set(registry.available("mpc_substrate")) >= {"columnar", "object"}
-    assert set(registry.available("pipeline_stage")) >= {
-        "fractional", "rounding", "repair", "boost",
-    }
-
-
-def test_registry_unknown_kind_and_name():
-    with pytest.raises(ValueError, match="unknown registry kind"):
-        registry.available("quantum")
-    with pytest.raises(ValueError, match="unknown kernel_backend 'nope'"):
-        registry.resolve("kernel_backend", "nope")
-
-
-def test_registry_resolve_semantics():
-    from repro.kernels import KernelBackend
-
-    backend = registry.resolve("kernel_backend", "reference")
-    assert isinstance(backend, KernelBackend)
-    substrate_factory = registry.resolve("mpc_substrate", "object")
-    assert callable(substrate_factory)
-    stage_factory = registry.resolve("pipeline_stage", "repair")
-    assert stage_factory(SolverConfig()).name == "repair"
-
-
-def test_registry_custom_stage_flows_into_config(instance):
-    from repro.core.pipeline import RepairStage
-
-    registry.register(
-        "pipeline_stage", "canonical_repair",
-        lambda config: RepairStage(order="canonical"),
-    )
-    try:
-        config = SolverConfig(
-            stages=("fractional", "rounding", "canonical_repair"), seed=6
-        )
-        report = Engine(config).solve(instance)
-        assert [r.stage for r in report.stage_records][-1] == "repair"
-        assert report.certified
-    finally:
-        registry._STAGE_FACTORIES.pop("canonical_repair")
-
-
 def test_registry_register_backend_visible_both_ways():
-    from repro.kernels import ReferenceBackend, available_backends
+    from repro.kernels import ReferenceBackend, available_backends, register_backend
 
     class NamedBackend(ReferenceBackend):
         name = "test_registry_backend"
 
-    registry.register("kernel_backend", "test_registry_backend", NamedBackend)
+    register_backend("test_registry_backend", NamedBackend)
     try:
-        assert "test_registry_backend" in registry.available("kernel_backend")
         assert "test_registry_backend" in available_backends()
         config = SolverConfig(backend="test_registry_backend")
         assert config.backend == "test_registry_backend"

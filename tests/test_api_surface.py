@@ -1,7 +1,6 @@
 """API-surface snapshot: the public names and signatures of
-``repro.api`` (plus the unified-registry protocol) against a
-checked-in snapshot, so accidental breakage of the versioned surface
-fails CI instead of shipping.
+``repro.api`` against a checked-in snapshot, so accidental breakage of
+the versioned surface fails CI instead of shipping.
 
 Regenerate after an *intentional* surface change with::
 
@@ -61,21 +60,14 @@ def _describe(obj) -> dict:
 
 
 def build_surface() -> dict:
-    """The surface document: every ``repro.api`` export plus the
-    unified-registry protocol functions."""
+    """The surface document: every ``repro.api`` export."""
     import repro.api as api
-    from repro import registry
 
-    surface = {
+    return {
         "repro.api": {
             name: _describe(getattr(api, name)) for name in sorted(api.__all__)
         },
-        "repro.registry": {
-            name: _describe(getattr(registry, name))
-            for name in sorted(registry.__all__)
-        },
     }
-    return surface
 
 
 def test_api_surface_matches_snapshot():
@@ -94,18 +86,12 @@ def test_api_surface_matches_snapshot():
     )
 
 
-def test_registry_kinds_are_stable():
-    from repro import registry
-
-    assert registry.KINDS == ("kernel_backend", "mpc_substrate", "pipeline_stage")
-
-
 def test_top_level_exports_present():
     import repro
 
     for name in ("Engine", "SolverConfig", "AllocationReport", "__version__"):
         assert name in repro.__all__
-    assert repro.__version__ == "2.0.0"
+    assert repro.__version__ == "3.0.0"
 
 
 if __name__ == "__main__":

@@ -93,30 +93,25 @@ def test_cli_solve_wrong_format(tmp_path, capsys):
 # ----------------------------------------------------------------------
 
 def test_cli_backend_flag(instance_file, capsys):
-    from repro.kernels import get_backend, set_backend
+    from repro.kernels import get_backend, use_backend
 
-    previous = get_backend()
-    try:
+    # The flag installs process-wide; the scope restores the backend.
+    with use_backend(get_backend()):
         assert cli_main([
             "solve", str(instance_file), "--no-boost", "--backend", "reference",
         ]) == 0
         assert type(get_backend()).__name__ == "ReferenceBackend"
-    finally:
-        set_backend(previous)
     json.loads(capsys.readouterr().out)
 
 
 def test_cli_substrate_flag(instance_file, capsys):
-    from repro.mpc.substrate import get_substrate, set_substrate
+    from repro.mpc.substrate import get_substrate, use_substrate
 
-    previous = get_substrate()
-    try:
+    with use_substrate(get_substrate()):
         assert cli_main([
             "solve", str(instance_file), "--no-boost", "--substrate", "object",
         ]) == 0
         assert get_substrate() == "object"
-    finally:
-        set_substrate(previous)
     json.loads(capsys.readouterr().out)
 
 
@@ -216,6 +211,29 @@ def test_cli_batch_out_of_range_capacity_update(tmp_path, instance_file, capsys)
         "batch", str(requests), "--instance", str(instance_file),
     ]) == 2
     assert "invalid request" in capsys.readouterr().err
+
+
+def test_cli_batch_out_of_range_request_rejected_before_any_solve(
+    tmp_path, instance_file, capsys, monkeypatch
+):
+    import repro.serve.session as session_module
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a request was solved before the file was parsed")
+
+    monkeypatch.setattr(session_module, "solve_allocation", no_solve)
+    for bad, field in (
+        ({"rounding_copies": 0}, "'rounding_copies'"),
+        ({"seed": -2}, "'seed'"),
+        ({"capacity_updates": {"2": 0}}, "capacity_updates['2']"),
+    ):
+        requests = _write_requests(tmp_path, [{"seed": 1}, {}, bad])
+        assert cli_main([
+            "batch", str(requests), "--instance", str(instance_file),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "malformed request on line 3" in err
+        assert field in err
 
 
 def test_cli_batch_missing_request_file(tmp_path, instance_file, capsys):

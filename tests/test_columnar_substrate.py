@@ -29,12 +29,10 @@ from repro.mpc.primitives import (
     tree_reduce_vector,
 )
 from repro.mpc.simulation import simulate_local_rounds_on_cluster
-from repro.mpc import substrate as substrate_mod
 from repro.mpc.substrate import (
     available_substrates,
     get_substrate,
     make_cluster,
-    set_substrate,
     use_substrate,
 )
 
@@ -145,24 +143,13 @@ def test_registry_names_and_make_cluster():
 
 def test_set_and_use_substrate():
     before = get_substrate()
-    prev = set_substrate("object")
-    try:
-        assert prev == before
+    with use_substrate("object") as active:
+        assert active == "object"
         assert isinstance(make_cluster(1, 32), MPCCluster)
         with use_substrate("columnar"):
             assert isinstance(make_cluster(1, 32), ColumnarCluster)
         assert get_substrate() == "object"
-    finally:
-        set_substrate(before)
-
-
-def test_env_var_initialises_substrate(monkeypatch):
-    monkeypatch.setattr(substrate_mod, "_ACTIVE", None)
-    monkeypatch.setenv(substrate_mod.ENV_VAR, "object")
-    assert get_substrate() == "object"
-    monkeypatch.setattr(substrate_mod, "_ACTIVE", None)
-    monkeypatch.delenv(substrate_mod.ENV_VAR, raising=False)
-    assert get_substrate() == substrate_mod.DEFAULT_SUBSTRATE
+    assert get_substrate() == before
 
 
 # ----------------------------------------------------------------------

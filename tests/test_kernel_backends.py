@@ -36,7 +36,6 @@ from repro.kernels import (
     backend_availability,
     get_backend,
     proportional_round,
-    set_backend,
     use_backend,
     workspace_for,
 )
@@ -241,7 +240,8 @@ def test_backend_registry_and_context_manager():
         assert get_backend() is be
     assert get_backend().name == before.name
     with pytest.raises(ValueError):
-        set_backend("no-such-backend")
+        with use_backend("no-such-backend"):
+            pass
 
 
 # ----------------------------------------------------------------------

@@ -236,6 +236,49 @@ def test_session_request_from_json_rejects_bad_scalars():
         SolveRequest.from_json({"warm": "no"})
     with pytest.raises(ValueError, match="epsilon"):
         SolveRequest.from_json({"epsilon": 0.9})
+    with pytest.raises(ValueError, match="'seed' must be >= 0, got -1"):
+        SolveRequest.from_json({"seed": -1})
+    with pytest.raises(ValueError, match="'rounding_copies' must be >= 1, got 0"):
+        SolveRequest.from_json({"rounding_copies": 0})
+    with pytest.raises(ValueError, match=r"capacity_updates\['2'\] must be >= 1"):
+        SolveRequest.from_json({"capacity_updates": {"2": 0}})
+    with pytest.raises(ValueError, match=r"capacities\[1\] must be >= 1"):
+        SolveRequest.from_json({"capacities": [2, 0]})
+
+
+def test_service_rejects_out_of_range_request_fields(tmp_path, serving_instance):
+    """Range errors are the caller's fault: ``bad_request``, no solve."""
+    import asyncio
+
+    from repro.serve.service import AllocationService, ServiceClient
+    from repro.serve.shm import instance_hash
+
+    h = instance_hash(serving_instance)
+
+    async def run():
+        service = AllocationService(tmp_path, session_kwargs={"boost": False})
+        await service.start()
+
+        def work():
+            with ServiceClient(service.socket_path) as client:
+                client.open(serving_instance)
+                return [
+                    client.solve(h, rounding_copies=0),
+                    client.solve(h, seed=-1),
+                    client.solve(h, capacity_updates={"2": 0}),
+                ]
+
+        try:
+            responses = await asyncio.get_running_loop().run_in_executor(None, work)
+        finally:
+            await service.stop()
+        return responses, service.counters.solves
+
+    responses, solves = asyncio.run(run())
+    assert solves == 0
+    for response in responses:
+        assert response["ok"] is False
+        assert response["error"]["type"] == "bad_request"
 
 
 def test_run_pipeline_rejects_cached_fractional_with_fractional_stage(
