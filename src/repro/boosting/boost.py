@@ -29,7 +29,7 @@ from repro.boosting.augment import (
 )
 from repro.boosting.layered import build_layered_graph, find_layered_augmenting_paths
 from repro.graphs.bipartite import BipartiteGraph
-from repro.graphs.capacities import validate_capacities
+from repro.graphs.capacities import validate_integral_allocation
 from repro.graphs.instances import AllocationInstance
 from repro.utils.rng import spawn
 from repro.utils.validation import check_fraction
@@ -81,8 +81,8 @@ def boost_allocation(
     eliminator for the same k — the reference realization.
     """
     graph = instance.graph
-    caps = validate_capacities(graph, instance.capacities)
-    mask = np.asarray(edge_mask, dtype=bool).copy()
+    caps, mask, _, _ = validate_integral_allocation(graph, instance.capacities, edge_mask)
+    mask = mask.copy()
     initial = int(mask.sum())
     k = k_for_epsilon(epsilon)
 

@@ -26,19 +26,26 @@ allocation matcher between consecutive layers — here either greedy or
 the paper's own proportional algorithm (``layer_matcher``), which is
 the self-hosting App. B describes (each layer-pair instance is a
 subgraph of G, so its arboricity is at most λ).
+
+Layout: the layered matched arcs are one array of ``layer · n_right + v``
+keys, stably sorted, beside their edge ids, so the copies of ``v`` in
+``T_ℓ`` are a contiguous run of ascending edge ids found by
+``searchsorted`` — O(m + n) memory, no per-edge Python loop.  The two
+random draws keep a fixed order and size (matched layers, skipped when
+``k = 0``, then unmatched slots) and each run is consumed from its
+highest edge id down: the bit-parity contract of DESIGN.md §2.5.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
-from repro.boosting.augment import AugmentingPath, matched_partner_structure
+from repro.boosting.augment import AugmentingPath
 from repro.graphs.bipartite import BipartiteGraph, build_graph
-from repro.graphs.capacities import validate_capacities
+from repro.graphs.capacities import validate_integral_allocation
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_nonnegative_int
 
@@ -54,18 +61,38 @@ class LayeredGraph:
     matched edge drew layer ℓ, −1 if ``u`` is isolated from the
     structure.  ``matched_arc_of_left[u]`` — the matched edge id
     providing that copy (−1 for free).  ``slot_edges[i]`` — unmatched
-    edge ids that drew slot ``i`` and survived Step 4.
-    ``tail_arcs[ℓ][v]`` — matched edge ids of ``v`` assigned to layer
-    ℓ (the copies of ``v`` in ``T_ℓ``); ``free_capacity[v]`` — copies
-    of ``v`` in ``T_{k+1}``.
+    edge ids that drew slot ``i`` and survived Step 4, ascending.
+    ``tail_keys`` — ``ℓ · n_right + v`` of every layered matched arc,
+    sorted; ``tail_edges`` — their edge ids, ascending within each
+    ``(ℓ, v)`` run (read one through :meth:`tail_group`).
+    ``free_capacity[v]`` — copies of ``v`` in ``T_{k+1}``.
     """
 
     k: int
+    n_right: int
     head_layer_of_left: np.ndarray
     matched_arc_of_left: np.ndarray
     slot_edges: list[np.ndarray]
-    tail_arcs: list[dict[int, list[int]]]
+    tail_keys: np.ndarray
+    tail_edges: np.ndarray
     free_capacity: np.ndarray
+
+    def tail_bounds(self, layer, v) -> tuple[np.ndarray, np.ndarray]:
+        """``(lo, hi)``: the run ``tail_edges[lo:hi]`` holding the copies
+        of ``v`` in ``T_layer`` (elementwise over array arguments)."""
+        return _run_bounds(self.tail_keys, layer * self.n_right + v)
+
+    def tail_group(self, layer: int, v: int) -> np.ndarray:
+        """Matched edge ids of ``v``'s copies in ``T_layer``, ascending."""
+        lo, hi = self.tail_bounds(layer, v)
+        return self.tail_edges[lo:hi]
+
+
+def _run_bounds(sorted_keys: np.ndarray, keys) -> tuple[np.ndarray, np.ndarray]:
+    return (
+        np.searchsorted(sorted_keys, keys, side="left"),
+        np.searchsorted(sorted_keys, keys, side="right"),
+    )
 
 
 def build_layered_graph(
@@ -86,130 +113,118 @@ def build_layered_graph(
     boosting driver cycles ``k`` over all target lengths.
     """
     k = check_nonnegative_int(k, "k")
-    caps = validate_capacities(graph, capacities)
-    edge_mask = np.asarray(edge_mask, dtype=bool)
+    caps, mask, left_used, right_used = validate_integral_allocation(
+        graph, capacities, edge_mask
+    )
     rng = as_generator(seed)
-
-    left_match, right_load = matched_partner_structure(graph, edge_mask)
-    free_capacity = caps - right_load
-    if np.any(free_capacity < 0):
-        raise ValueError("edge_mask is not a feasible allocation")
+    n_right = graph.n_right
+    free_capacity = caps - right_used
 
     # Step 3: layer each matched edge uniformly in {1..k}.  With k = 0
     # there are no matched layers: matched edges (and their left
     # endpoints) sit outside the structure this iteration.
-    matched_ids = np.nonzero(edge_mask)[0]
-    if k == 0:
-        matched_layers = np.zeros(matched_ids.size, dtype=np.int64)
-    else:
-        matched_layers = rng.integers(1, k + 1, size=matched_ids.size)
+    matched_ids = np.flatnonzero(mask)
     head_layer_of_left = np.full(graph.n_left, -1, dtype=np.int64)
     matched_arc_of_left = np.full(graph.n_left, -1, dtype=np.int64)
-    tail_arcs: list[dict[int, list[int]]] = [defaultdict(list) for _ in range(k + 2)]
-    for eid, layer in zip(matched_ids.tolist(), matched_layers.tolist()):
-        if layer == 0:
-            continue
-        u = int(graph.edge_u[eid])
-        v = int(graph.edge_v[eid])
-        head_layer_of_left[u] = layer
-        matched_arc_of_left[u] = eid
-        tail_arcs[layer][v].append(eid)
+    if k == 0:
+        tail_keys = tail_edges = np.empty(0, dtype=np.int64)
+    else:
+        layers = rng.integers(1, k + 1, size=matched_ids.size)
+        heads = graph.edge_u[matched_ids]
+        head_layer_of_left[heads] = layers
+        matched_arc_of_left[heads] = matched_ids
+        keys = layers * n_right + graph.edge_v[matched_ids]
+        order = np.argsort(keys, kind="stable")
+        tail_keys, tail_edges = keys[order], matched_ids[order]
     # Step 2 (allocation form): free left copies live in layer 0.
-    free_left = left_match == -1
-    head_layer_of_left[free_left] = 0
+    head_layer_of_left[left_used == 0] = 0
 
-    # Step 4: slot each unmatched edge; keep it only when both required
-    # copies exist.
-    unmatched_ids = np.nonzero(~edge_mask)[0]
+    # Step 4: slot each unmatched edge; keep it only when its left end
+    # heads the slot's layer and its right end has a copy one layer on:
+    # a tail copy in T_{slot+1}, or free capacity when slot = k.
+    unmatched_ids = np.flatnonzero(~mask)
     slots = rng.integers(0, k + 1, size=unmatched_ids.size)
-    slot_edges: list[list[int]] = [[] for _ in range(k + 1)]
-    for eid, slot in zip(unmatched_ids.tolist(), slots.tolist()):
-        u = int(graph.edge_u[eid])
-        v = int(graph.edge_v[eid])
-        if head_layer_of_left[u] != slot:
-            continue
-        if slot == k:
-            if free_capacity[v] <= 0:
-                continue
-        else:
-            if not tail_arcs[slot + 1].get(v):
-                continue
-        slot_edges[slot].append(eid)
+    cand = np.flatnonzero(head_layer_of_left[graph.edge_u[unmatched_ids]] == slots)
+    slots = slots[cand]
+    v = graph.edge_v[unmatched_ids[cand]]
+    lo, hi = _run_bounds(tail_keys, (slots + 1) * n_right + v)
+    reach = np.where(slots == k, free_capacity[v] > 0, hi > lo)
+    kept, slots = unmatched_ids[cand[reach]], slots[reach]
+    # A stable sort by slot keeps each slot's edge ids ascending.
+    bounds = np.cumsum(np.bincount(slots, minlength=k + 1))[:-1]
+    slot_edges = np.split(kept[np.argsort(slots, kind="stable")], bounds)
 
     return LayeredGraph(
         k=k,
+        n_right=n_right,
         head_layer_of_left=head_layer_of_left,
         matched_arc_of_left=matched_arc_of_left,
-        slot_edges=[np.asarray(s, dtype=np.int64) for s in slot_edges],
-        tail_arcs=tail_arcs,
-        free_capacity=free_capacity.astype(np.int64),
+        slot_edges=slot_edges,
+        tail_keys=tail_keys,
+        tail_edges=tail_edges,
+        free_capacity=free_capacity,
     )
 
 
 def _greedy_layer_matching(
-    pairs: list[tuple[int, int, int]],
-    head_available: dict[int, int],
-    tail_capacity: dict[int, int],
+    heads: np.ndarray, tails: np.ndarray, eids: np.ndarray, tail_left: np.ndarray
 ) -> list[tuple[int, int, int]]:
-    """Greedy maximal matching of (head u, tail v, edge) triples where
-    each head is used ≤ once and each tail ≤ its capacity."""
+    """Greedy maximal matching over (head, tail, edge) triples in order:
+    each head is used ≤ once, each tail ≤ its ``tail_left`` capacity."""
+    capacity = dict(zip(tails.tolist(), tail_left.tolist()))
+    used: set[int] = set()
     chosen: list[tuple[int, int, int]] = []
-    for u, v, eid in pairs:
-        if head_available.get(u, 0) > 0 and tail_capacity.get(v, 0) > 0:
-            head_available[u] -= 1
-            tail_capacity[v] -= 1
+    for u, v, eid in zip(heads.tolist(), tails.tolist(), eids.tolist()):
+        if u not in used and capacity[v] > 0:
+            used.add(u)
+            capacity[v] -= 1
             chosen.append((u, v, eid))
     return chosen
 
 
 def _proportional_layer_matching(
-    pairs: list[tuple[int, int, int]],
-    head_available: dict[int, int],
-    tail_capacity: dict[int, int],
+    heads: np.ndarray,
+    tails: np.ndarray,
+    eids: np.ndarray,
+    tail_left: np.ndarray,
+    active: np.ndarray,
     epsilon: float,
     seed,
 ) -> list[tuple[int, int, int]]:
     """Use the paper's own machinery as the layer matcher A (App. B):
     solve the layer-pair allocation instance fractionally with the
     proportional dynamics, round (§6), then greedily repair.  The
-    layer-pair graph is a subgraph of G, so λ does not increase."""
+    layer-pair graph is a subgraph of G, so λ does not increase.
+
+    The instance's vertices are every active head and every tail with
+    capacity left among the slot's edges — a tail whose only edges
+    lead to inactive heads stays in as an isolated vertex."""
     from repro.core.local_driver import solve_fractional_until_certificate
     from repro.graphs.instances import AllocationInstance
     from repro.rounding.repair import greedy_fill
     from repro.rounding.sampling import round_best_of
 
-    heads = sorted({u for u, _, _ in pairs if head_available.get(u, 0) > 0})
-    tails = sorted({v for _, v, _ in pairs if tail_capacity.get(v, 0) > 0})
-    if not heads or not tails:
+    has_tail = tail_left > 0
+    sub_heads = np.unique(heads[active])
+    sub_tails, first = np.unique(tails[has_tail], return_index=True)
+    usable = active & has_tail
+    if not sub_heads.size or not sub_tails.size or not usable.any():
         return []
-    head_index = {u: i for i, u in enumerate(heads)}
-    tail_index = {v: i for i, v in enumerate(tails)}
-    usable = [
-        (u, v, eid)
-        for u, v, eid in pairs
-        if head_available.get(u, 0) > 0 and tail_capacity.get(v, 0) > 0
-    ]
-    if not usable:
-        return []
+    sub_caps = tail_left[has_tail][first]
+    heads, tails, eids, tail_left = (a[usable] for a in (heads, tails, eids, tail_left))
+    # Slot edges ascend, so the usable triples are already in the
+    # sub-graph's canonical (head, tail) order: local edge i is triple i.
     sub = build_graph(
-        len(heads),
-        len(tails),
-        [head_index[u] for u, _, _ in usable],
-        [tail_index[v] for _, v, _ in usable],
+        sub_heads.size,
+        sub_tails.size,
+        np.searchsorted(sub_heads, heads),
+        np.searchsorted(sub_tails, tails),
     )
-    sub_caps = np.asarray([tail_capacity[v] for v in tails], dtype=np.int64)
     inst = AllocationInstance(graph=sub, capacities=sub_caps, name="layer-pair")
     frac = solve_fractional_until_certificate(inst, epsilon).allocation
     rounded = round_best_of(sub, sub_caps, frac, copies=8, seed=seed)
     mask = greedy_fill(sub, sub_caps, rounded.edge_mask, order="canonical")
-    chosen: list[tuple[int, int, int]] = []
-    for local_eid in np.nonzero(mask)[0].tolist():
-        u, v, eid = usable[local_eid]
-        if head_available.get(u, 0) > 0 and tail_capacity.get(v, 0) > 0:
-            head_available[u] -= 1
-            tail_capacity[v] -= 1
-            chosen.append((u, v, eid))
-    return chosen
+    return _greedy_layer_matching(heads[mask], tails[mask], eids[mask], tail_left[mask])
 
 
 def find_layered_augmenting_paths(
@@ -226,51 +241,45 @@ def find_layered_augmenting_paths(
     layer ``i`` to tail copies of layer ``i+1``; a (b-)matching between
     them extends the partial paths.  Tails at layer ``ℓ ≤ k`` continue
     through one of their matched arcs to that arc's head; tails at
-    ``k+1`` complete a path.
+    ``k+1`` complete a path.  Each ``(ℓ, v)`` run of arcs is consumed
+    from its highest edge id down.
     """
+    if layer_matcher not in ("greedy", "proportional"):
+        raise ValueError(f"unknown layer_matcher {layer_matcher!r}")
     rng = as_generator(seed)
     k = layered.k
 
     # Active partial paths, keyed by their current head vertex.
-    paths_at_head: dict[int, tuple[list[int], list[int]]] = {}
-    for u in np.nonzero(layered.head_layer_of_left == 0)[0].tolist():
-        if layered.matched_arc_of_left[u] == -1:
-            paths_at_head[u] = ([], [])
-
+    paths_at_head: dict[int, tuple[list[int], list[int]]] = {
+        u: ([], []) for u in np.flatnonzero(layered.head_layer_of_left == 0).tolist()
+    }
     completed: list[AugmentingPath] = []
-    # Copy tail-arc pools so extensions consume arcs.
-    arc_pool: list[dict[int, list[int]]] = [
-        {v: list(arcs) for v, arcs in layer.items()} for layer in layered.tail_arcs
-    ]
+    # Arcs taken so far from each (ℓ, v) run, indexed by the run's start.
+    taken = np.zeros(layered.tail_edges.size, dtype=np.int64)
     free_pool = layered.free_capacity.copy()
+    active = np.zeros(graph.n_left, dtype=bool)
 
     for slot in range(0, k + 1):
         if not paths_at_head:
             break
-        pairs = [
-            (int(graph.edge_u[eid]), int(graph.edge_v[eid]), int(eid))
-            for eid in layered.slot_edges[slot].tolist()
-        ]
-        head_available = {u: 1 for u in paths_at_head}
+        eids = layered.slot_edges[slot]
+        heads, tails = graph.edge_u[eids], graph.edge_v[eids]
         if slot == k:
-            tail_capacity = {
-                v: int(free_pool[v])
-                for v in {p[1] for p in pairs}
-                if free_pool[v] > 0
-            }
+            tail_left = free_pool[tails]
         else:
-            tail_capacity = {
-                v: len(arc_pool[slot + 1].get(v, []))
-                for v in {p[1] for p in pairs}
-            }
+            lo, hi = layered.tail_bounds(slot + 1, tails)
+            tail_left = hi - lo - taken[lo]
+        active[:] = False
+        active[list(paths_at_head)] = True
         if layer_matcher == "greedy":
-            chosen = _greedy_layer_matching(pairs, head_available, tail_capacity)
-        elif layer_matcher == "proportional":
-            chosen = _proportional_layer_matching(
-                pairs, head_available, tail_capacity, epsilon, rng
+            usable = active[heads] & (tail_left > 0)
+            chosen = _greedy_layer_matching(
+                heads[usable], tails[usable], eids[usable], tail_left[usable]
             )
         else:
-            raise ValueError(f"unknown layer_matcher {layer_matcher!r}")
+            chosen = _proportional_layer_matching(
+                heads, tails, eids, tail_left, active[heads], epsilon, rng
+            )
 
         next_paths: dict[int, tuple[list[int], list[int]]] = {}
         for u, v, eid in chosen:
@@ -280,9 +289,10 @@ def find_layered_augmenting_paths(
                 free_pool[v] -= 1
                 completed.append(AugmentingPath(unmatched, list(matched)))
             else:
-                arc = arc_pool[slot + 1][v].pop()
-                u_next = int(graph.edge_u[arc])
-                next_paths[u_next] = (unmatched, matched + [arc])
+                lo, hi = layered.tail_bounds(slot + 1, v)
+                arc = int(layered.tail_edges[hi - 1 - taken[lo]])
+                taken[lo] += 1
+                next_paths[int(graph.edge_u[arc])] = (unmatched, matched + [arc])
         # Paths that failed to extend die for this iteration.
         paths_at_head = next_paths
 

@@ -159,11 +159,13 @@ class RoundWorkspace:
     one set of invariants) and references to the frozen edge arrays.
     Obtain through :func:`workspace_for`, which caches one workspace
     per graph — reusing it across rounds, runs and instances is what
-    removes the per-round re-expansion cost.
+    removes the per-round re-expansion cost.  Ownership is one-way: the
+    graph holds its workspace and the workspace holds nothing back, so
+    a per-request graph dies by reference count, not by the cyclic
+    collector (DESIGN.md §6.4).
     """
 
     __slots__ = (
-        "graph",
         "left",
         "right",
         "left_adj",
@@ -177,7 +179,6 @@ class RoundWorkspace:
     )
 
     def __init__(self, graph: "BipartiteGraph"):
-        self.graph = graph
         self.left = graph.left_layout
         self.right = graph.right_layout
         self.left_adj = graph.left_adj
@@ -251,8 +252,6 @@ def transplant_workspace(
     existing = new_graph.__dict__.get(_WORKSPACE_ATTR)
     if existing is not None:
         return existing
-    if parent.graph is new_graph:
-        return parent
 
     def adopt(side: str, indptr_field: str, layout: SegmentLayout) -> None:
         # Seed the graph's cached_property slot before RoundWorkspace
@@ -311,9 +310,10 @@ def resolve_workspace(
 ) -> RoundWorkspace:
     """Validate an injected workspace against ``graph``, or resolve the
     cached one.  The one guard every workspace-accepting entry point
-    shares: a workspace built for a different graph is always a bug."""
+    shares: a workspace other than the one ``graph`` owns is always a
+    bug."""
     if workspace is None:
         return workspace_for(graph)
-    if workspace.graph is not graph:
+    if graph.__dict__.get(_WORKSPACE_ATTR) is not workspace:
         raise ValueError("workspace was built for a different graph")
     return workspace

@@ -19,6 +19,7 @@ from repro.boosting.boost import boost_allocation, k_for_epsilon
 from repro.boosting.layered import build_layered_graph, find_layered_augmenting_paths
 from repro.graphs import build_graph
 from repro.graphs.generators import star_instance, union_of_forests
+from repro.graphs.instances import AllocationInstance
 
 from tests.conftest import assert_feasible_integral
 
@@ -132,7 +133,7 @@ def test_layered_graph_structure(medium_forest_instance):
             assert 1 <= layer <= 3
             assert layered.matched_arc_of_left[u] == left_match[u]
             v = int(inst.graph.edge_v[left_match[u]])
-            assert left_match[u] in layered.tail_arcs[layer][v]
+            assert left_match[u] in layered.tail_group(layer, v).tolist()
         elif inst.graph.left_degrees[u] >= 0:
             assert layered.head_layer_of_left[u] == 0
     # Surviving slot edges satisfy the Step-4 co-location condition.
@@ -146,6 +147,20 @@ def test_layered_graph_rejects_infeasible(small_star):
     bad = np.ones(small_star.graph.n_edges, dtype=bool)
     with pytest.raises(ValueError):
         build_layered_graph(small_star.graph, small_star.capacities, bad, k=2)
+
+
+def test_boost_rejects_left_vertex_matched_twice():
+    """Left vertex 0 holds two edges while every right capacity holds:
+    infeasible, and boosting it used to return the infeasible [T, T, T]."""
+    inst = AllocationInstance(
+        graph=build_graph(2, 2, [0, 0, 1], [0, 1, 1]), capacities=np.array([1, 2])
+    )
+    bad = np.array([True, True, False])
+    with pytest.raises(ValueError, match="left vertex"):
+        build_layered_graph(inst.graph, inst.capacities, bad, k=1)
+    for mode in ("layered", "deterministic"):
+        with pytest.raises(ValueError, match="left vertex"):
+            boost_allocation(inst, bad, 0.5, mode=mode, seed=0)
 
 
 def test_layered_paths_are_valid_augmentations():

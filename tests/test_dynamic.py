@@ -278,7 +278,7 @@ def test_transplant_rebuilds_changed_sides(instance):
     ws = transplant_workspace(out.instance.graph, parent)
     assert ws.left is not parent.left       # left side grew
     assert ws.right is not parent.right     # right degrees changed
-    assert ws.graph is out.instance.graph
+    assert workspace_for(out.instance.graph) is ws
 
 
 def test_transplant_is_cached(instance):

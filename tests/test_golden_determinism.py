@@ -8,9 +8,14 @@ with the printed values — but treat any unexpected diff as a bug.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.api import Engine
+from repro.baselines.greedy import greedy_allocation
+from repro.boosting.boost import boost_allocation
 from repro.core.proportional import ProportionalRun
 from repro.core.sampled import SampledRun
 from repro.core.termination import evaluate_certificate
@@ -142,3 +147,43 @@ def test_golden_service_transcript():
     seeds = [row[2] for row in first]
     assert len({seeds[0], seeds[1], seeds[3]}) == 3   # distinct cursor draws
     assert all(row[3] > 0 for row in first)
+
+
+def _mask_sha256(mask: np.ndarray) -> str:
+    return hashlib.sha256(np.packbits(np.asarray(mask, dtype=bool)).tobytes()).hexdigest()
+
+
+# (start, layer_matcher, augmentations, sha256 of the packed boosted mask)
+# on union_of_forests(200, 90, 3, capacity=2, seed=0), boosted at ε = 0.25
+# (k = 4) for 60 iterations with seed 3.  The benchmark workloads never
+# augment, so these are what pins the layered path walk itself.
+_GOLDEN_BOOSTS = [
+    ("empty", "greedy", 179, "181b08369167825ac5fb18763fe3922384bcc9b64bbeb2d3c3f0747df6da73e7"),
+    ("empty", "proportional", 180, "8ece66db0cb984aef006277fea2e28e355a49ac75f7501c60d58f6474b3a3a66"),
+    ("greedy", "greedy", 12, "d1fddd1c2fa0fe9bcca1e6dc351cc8baeb6cfcee8326c6f84ece4ad803b27dd3"),
+    ("greedy", "proportional", 13, "50bdd5d63334748abdc5f628e9c6bd9e1585e74163f56123a4c6ffba28314685"),
+]
+
+
+@pytest.mark.parametrize("start,matcher,augmentations,digest", _GOLDEN_BOOSTS)
+def test_golden_layered_boost(start, matcher, augmentations, digest):
+    inst = union_of_forests(200, 90, 3, capacity=2, seed=0)
+    if start == "empty":
+        mask = np.zeros(inst.graph.n_edges, dtype=bool)
+    else:
+        mask = greedy_allocation(inst.graph, inst.capacities, order="random", seed=0)
+    res = boost_allocation(
+        inst, mask, 0.25, iterations=60, layer_matcher=matcher, seed=3
+    )
+    assert res.augmentations == augmentations
+    assert _mask_sha256(res.edge_mask) == digest
+
+
+def test_golden_default_engine_solve():
+    """The default solve (boost on) on the cold-solve benchmark graph."""
+    report = Engine().solve(slow_spread_instance(32, width=40), seed=0)
+    assert report.size == 1280
+    assert report.result.boosting.augmentations == 0
+    assert _mask_sha256(report.edge_mask) == (
+        "c71a72fa47bd59332ed96a3b0ba7e972c01e09e9bb6711ad2acf4b4fd03ec3bb"
+    )

@@ -20,6 +20,9 @@ compiler — the graceful-degradation contract.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -348,6 +351,23 @@ def test_workspace_is_cached_per_graph():
     ws2 = workspace_for(g)
     assert ws1 is ws2
     assert ws1.left is g.left_layout and ws1.right is g.right_layout
+
+
+def test_solved_graph_dies_by_reference_count():
+    """The graph owns its workspace and nothing points back, so a
+    cold-solved graph is freed as soon as its instance and report are
+    dropped — without the cyclic garbage collector."""
+    from repro.api import Engine
+
+    gc.disable()
+    try:
+        instance = union_of_forests(40, 30, 2, capacity=2, seed=1)
+        report = Engine().solve(instance, seed=0)
+        graph = weakref.ref(instance.graph)
+        del instance, report
+        assert graph() is None
+    finally:
+        gc.enable()
 
 
 def test_slot_owner_matches_repeat():
