@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from repro.bmatching.problem import BMatchingInstance
-from repro.core.proportional import match_weight_from_alloc
+from repro.core.proportional import match_weight_from_alloc, threshold_decisions
 from repro.kernels import proportional_round, scatter_add, workspace_for
 from repro.utils.validation import check_fraction, check_positive_int
 
@@ -80,9 +80,7 @@ def proportional_bmatching(
         # The shared round kernel with per-left-vertex unit budgets
         # b_left instead of 1 (DESIGN.md §6).
         x, alloc = proportional_round(ws, beta_exp, log1p_eps, left_units=b_left)
-        increase = alloc <= b_right / (1.0 + epsilon)
-        decrease = alloc >= b_right * (1.0 + epsilon)
-        beta_exp += increase.astype(np.int64) - decrease.astype(np.int64)
+        beta_exp += threshold_decisions(alloc, b_right, epsilon)
 
     # Feasibility scaling: clip edges at 1, then rescale right loads.
     x = np.minimum(x, 1.0)

@@ -190,8 +190,9 @@ def _phase_sampled_edges(run: SampledRun, rounds_in_phase: int) -> np.ndarray:
     """Pre-draw the phase's samples and return the union sampled graph.
 
     Samples come from the keyed sampler (pure functions of the seed,
-    so the subsequent ``run_phase`` redraws the identical sets).  The
-    union is returned as a ``(k, 2)`` array of merged vertex ids in
+    so the subsequent ``run_phase`` redraws the identical sets, or, in
+    the exact regime, draws none and sums the same whole groups
+    exactly).  The union is returned as a ``(k, 2)`` array of merged vertex ids in
     lexicographic order — the same sequence as ``sorted(edge_set)``
     over per-record tuples, computed vectorized.
     """
@@ -771,6 +772,11 @@ def solve_allocation_mpc(
         "used_guess": used_guess,
         "lambda_known": lam is not None,
         "sample_budget": run.sample_budget,
+        "max_degree": graph.max_degree,
+        # Every round of the returned run decided on exact sums
+        # (Algorithm 1's decisions, DESIGN.md §2.3); False where some
+        # phase's budget fell below the max degree and it sampled.
+        "exact_regime": run.exact_rounds == run.rounds_completed,
         "block": run.block,
         "substrate": _active_substrate(substrate) if mode == "faithful" else None,
         "warm_start": initial_exponents is not None,

@@ -42,6 +42,7 @@ __all__ = [
     "ReplayThresholds",
     "ProportionalRun",
     "compute_x_alloc",
+    "threshold_decisions",
     "match_weight_from_alloc",
     "validate_initial_exponents",
     "init_exponent_state",
@@ -116,6 +117,18 @@ def compute_x_alloc(
     return proportional_round(
         resolve_workspace(graph, workspace), beta_exp, log1p_eps
     )
+
+
+def threshold_decisions(
+    alloc: np.ndarray, capacities: np.ndarray, k_eps: ThresholdValue
+) -> np.ndarray:
+    """The line-4 test of Algorithm 1 (line 7 of Algorithm 2): +1
+    raises β where ``alloc ≤ C/(1+kε)``, −1 lowers it where
+    ``alloc ≥ C·(1+kε)``, 0 keeps it.  ``k_eps`` is ``k·ε``, a scalar
+    or one value per right vertex (Algorithm 3's schedules)."""
+    increase = alloc <= capacities / (1.0 + k_eps)
+    decrease = alloc >= capacities * (1.0 + k_eps)
+    return increase.astype(np.int64) - decrease.astype(np.int64)
 
 
 def match_weight_from_alloc(capacities: np.ndarray, alloc: np.ndarray) -> float:
@@ -243,11 +256,8 @@ class ProportionalRun:
 
     def decide(self, alloc: np.ndarray, k: ThresholdValue) -> np.ndarray:
         """Line-4 decisions from true allocs: +1 (raise β), −1, or 0."""
-        caps = self.capacities
         k_eps = np.asarray(k, dtype=np.float64) * self.epsilon
-        increase = alloc <= caps / (1.0 + k_eps)
-        decrease = alloc >= caps * (1.0 + k_eps)
-        return increase.astype(np.int64) - decrease.astype(np.int64)
+        return threshold_decisions(alloc, self.capacities, k_eps)
 
     def step(self) -> np.ndarray:
         """Execute one full round; returns the ±1/0 decision vector."""

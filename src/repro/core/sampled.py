@@ -25,10 +25,16 @@ Implementation notes
   what lets the faithful MPC mode re-draw identical samples inside a
   collected ball; ``FastSampler`` uses one stream and a rank trick, for
   large simulate-mode sweeps.  Identical distributions.
-* With the *theoretical* sample budget ``t`` exceeding every group
-  size, sampling takes whole groups, estimates are exact, and the
-  trajectory coincides with Algorithm 1 — an integration test pins
-  this.
+* The exact regime: a budget of at least the graph's max degree
+  covers every group, so each sample is a whole group, each estimate
+  an exact sum, and Algorithm 2 is Algorithm 1.  A phase that starts
+  in this regime without recording estimates skips grouping and
+  sampling: each round decides from the true allocs the round kernel
+  computes anyway, with the same thresholds, so its β trajectory is
+  Algorithm 1's bit for bit (``exact_rounds`` counts these rounds).
+  The theoretical ``t`` lands here at laptop scale.  Runs that record
+  estimates (E4, E10, ``ball_replay``) and budgets below the max
+  degree keep sampling (DESIGN.md §2.3).
 * True x/alloc are recomputed each round alongside the estimates
   (instrumentation for Lemma 12/13 checks and the final output, which
   lines 5–6 of Algorithm 1 define in terms of true allocs).
@@ -49,6 +55,7 @@ from repro.core.proportional import (
     init_exponent_state,
     level_indices_from,
     match_weight_from_alloc,
+    threshold_decisions,
     top_level_mask_from,
 )
 from repro.graphs.bipartite import BipartiteGraph
@@ -295,6 +302,7 @@ class SampledRun:
             graph, initial_exponents
         )
         self.rounds_completed = 0
+        self.exact_rounds = 0
         self.phases_completed = 0
         self.x_slots: Optional[np.ndarray] = None
         self.alloc: Optional[np.ndarray] = None
@@ -388,55 +396,66 @@ class SampledRun:
         return row_sums
 
     def run_phase(self, rounds: Optional[int] = None) -> PhaseReport:
-        """Execute one phase of ``rounds`` (default B) simulated rounds."""
+        """Execute one phase of ``rounds`` (default B) simulated rounds.
+
+        The exact-regime test (module docstring) runs at every phase
+        start, not once per run: the adaptive faithful policy rewrites
+        ``sample_budget`` between phases, and a throttled phase below
+        the max degree must sample.
+        """
         rounds = self.block if rounds is None else check_positive_int(rounds, "rounds")
         g = self.graph
-        left_groups, right_groups = self.build_phase_groups()
+        exact = not self.record_estimates and self.sample_budget >= g.max_degree
+        if not exact:
+            left_groups, right_groups = self.build_phase_groups()
         report = PhaseReport(phase_index=self.phases_completed)
 
         for _ in range(rounds):
-            beta_vals, _ = self._beta_values_shifted()
-            # Line 5: estimate β_u from fresh per-group samples of N_u.
-            pos_l = self.sampler.sample_positions(
-                left_groups, LEFT_SIDE, self.rounds_completed, self.sample_budget
-            )
-            beta_hat = self._estimate_row_sums(
-                left_groups, pos_l, beta_vals[g.left_adj]
-            )
-            # Line 6: estimate alloc_v = β_v · Σ 1/β_u over fresh samples.
-            pos_r = self.sampler.sample_positions(
-                right_groups, RIGHT_SIDE, self.rounds_completed, self.sample_budget
-            )
-            with np.errstate(divide="ignore"):
-                inv_beta_hat = np.where(beta_hat > 0, 1.0 / np.where(beta_hat > 0, beta_hat, 1.0), 0.0)
-            inv_sum_hat = self._estimate_row_sums(
-                right_groups, pos_r, inv_beta_hat[g.right_adj]
-            )
-            alloc_hat = beta_vals * inv_sum_hat
-
-            # Line 7: the plain (1+ε) thresholds on the *estimates*.
-            caps = self.capacities
-            increase = alloc_hat <= caps / (1.0 + self.epsilon)
-            decrease = alloc_hat >= caps * (1.0 + self.epsilon)
-            decisions = increase.astype(np.int64) - decrease.astype(np.int64)
-
-            # Instrumentation: exact aggregates for Lemma 12/13 checks
-            # and for the final lines-5/6 output of Algorithm 1.
+            # The true x/alloc: the lines-5/6 output of Algorithm 1, the
+            # Lemma 12/13 instrumentation, and in the exact regime the
+            # decisions themselves.
             x_true, alloc_true = compute_x_alloc(
                 g, self.beta_exp, self.log1p_eps, workspace=self.workspace
             )
-            if self.record_estimates:
-                beta_true = self._exact_beta_u(beta_vals)
-                report.rounds.append(
-                    RoundEstimates(
-                        round_index=self.rounds_completed,
-                        beta_hat=beta_hat,
-                        beta_true=beta_true,
-                        alloc_hat=alloc_hat,
-                        alloc_true=alloc_true,
-                        decisions=decisions,
-                    )
+            if exact:
+                decisions = threshold_decisions(
+                    alloc_true, self.capacities, self.epsilon
                 )
+                self.exact_rounds += 1
+            else:
+                beta_vals, _ = self._beta_values_shifted()
+                # Line 5: estimate β_u from fresh per-group samples of N_u.
+                pos_l = self.sampler.sample_positions(
+                    left_groups, LEFT_SIDE, self.rounds_completed, self.sample_budget
+                )
+                beta_hat = self._estimate_row_sums(
+                    left_groups, pos_l, beta_vals[g.left_adj]
+                )
+                # Line 6: estimate alloc_v = β_v · Σ 1/β_u over fresh samples.
+                pos_r = self.sampler.sample_positions(
+                    right_groups, RIGHT_SIDE, self.rounds_completed, self.sample_budget
+                )
+                with np.errstate(divide="ignore"):
+                    inv_beta_hat = np.where(beta_hat > 0, 1.0 / np.where(beta_hat > 0, beta_hat, 1.0), 0.0)
+                inv_sum_hat = self._estimate_row_sums(
+                    right_groups, pos_r, inv_beta_hat[g.right_adj]
+                )
+                alloc_hat = beta_vals * inv_sum_hat
+                # Line 7: the plain (1+ε) thresholds on the *estimates*.
+                decisions = threshold_decisions(
+                    alloc_hat, self.capacities, self.epsilon
+                )
+                if self.record_estimates:
+                    report.rounds.append(
+                        RoundEstimates(
+                            round_index=self.rounds_completed,
+                            beta_hat=beta_hat,
+                            beta_true=self._exact_beta_u(beta_vals),
+                            alloc_hat=alloc_hat,
+                            alloc_true=alloc_true,
+                            decisions=decisions,
+                        )
+                    )
             self.beta_exp += decisions
             self.rounds_completed += 1
             self.x_slots, self.alloc = x_true, alloc_true

@@ -16,15 +16,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.fractional import FractionalAllocation
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.capacities import validate_capacities
 from repro.kernels import scatter_add
 from repro.utils.rng import as_generator, spawn
 from repro.utils.validation import check_fraction, check_positive_int
+
+if TYPE_CHECKING:
+    # Annotation only: a runtime import would load repro.core, whose
+    # pipeline imports this module back (a circular ImportError when
+    # repro.rounding is the first package imported).
+    from repro.core.fractional import FractionalAllocation
 
 __all__ = [
     "RoundingOutcome",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from repro.core.adaptive import (
     RandomizedThresholds,
     reconstruct_round_thresholds,
 )
+from repro.core.mpc_driver import solve_allocation_mpc
 from repro.core.proportional import ProportionalRun, ReplayThresholds
 from repro.core.sampled import (
     FastSampler,
@@ -21,6 +24,7 @@ from repro.core.sampled import (
     build_side_groups,
 )
 from repro.graphs.generators import (
+    SIZED_FAMILIES,
     planted_dense_core_instance,
     star_instance,
     union_of_forests,
@@ -122,6 +126,124 @@ def test_full_budget_matches_algorithm1(sampler):
     assert np.array_equal(exact.beta_exp, sampled.beta_exp)
     assert np.allclose(exact.alloc, sampled.alloc, atol=1e-9)
     assert sampled.match_weight() == pytest.approx(exact.match_weight())
+
+
+# ----------------------------------------------------------------------
+# The exact regime: no grouping or sampling, Algorithm 1's decisions
+# ----------------------------------------------------------------------
+
+EXACT_ROUNDS = 8
+
+
+@pytest.mark.parametrize("family", sorted(SIZED_FAMILIES))
+def test_exact_path_is_algorithm1_on_the_zoo(family):
+    """With estimates unrecorded and the default budget, every round's
+    β, x and alloc equal ProportionalRun's bit for bit, cold and warm,
+    with one-round phases and with phases of three rounds."""
+    for n, seed, eps in itertools.product((60, 400), range(3), (0.1, 0.25)):
+        inst = SIZED_FAMILIES[family](n, seed=seed)
+        g, caps = inst.graph, inst.capacities
+        warm = np.random.default_rng(seed).integers(-3, 4, size=g.n_right)
+        for start in (None, warm):
+            ref = ProportionalRun(g, caps, eps, initial_exponents=start)
+            run = SampledRun(
+                g, caps, eps, block=1, seed=seed, record_estimates=False,
+                initial_exponents=start,
+            )
+            assert run.sample_budget >= g.max_degree
+            for _ in range(EXACT_ROUNDS):
+                run.run_phase()
+                ref.step()
+                assert np.array_equal(run.beta_exp, ref.beta_exp)
+                assert np.array_equal(run.x_slots, ref.x_slots)
+                assert np.array_equal(run.alloc, ref.alloc)
+            assert run.exact_rounds == EXACT_ROUNDS
+            phased = SampledRun(
+                g, caps, eps, block=3, seed=seed, record_estimates=False,
+                initial_exponents=start,
+            ).run_rounds(EXACT_ROUNDS)
+            assert phased.exact_rounds == EXACT_ROUNDS
+            assert np.array_equal(phased.beta_exp, ref.beta_exp)
+            assert np.array_equal(phased.x_slots, ref.x_slots)
+            assert np.array_equal(phased.alloc, ref.alloc)
+
+
+@pytest.fixture
+def sampler_calls(monkeypatch):
+    """Count ``sample_positions`` calls per sampler class."""
+    calls = {KeyedSampler: 0, FastSampler: 0}
+    for cls in calls:
+        def counting(self, *args, _cls=cls, _real=cls.sample_positions, **kwargs):
+            calls[_cls] += 1
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "sample_positions", counting)
+    return calls
+
+
+@pytest.mark.parametrize("sampler", ["keyed", "fast"])
+def test_exact_path_selection(sampler, sampler_calls):
+    inst = union_of_forests(40, 30, 3, capacity=2, seed=5)
+    g, caps = inst.graph, inst.capacities
+    cls = KeyedSampler if sampler == "keyed" else FastSampler
+    rounds = 4
+
+    def run(**kwargs):
+        sampler_calls[cls] = 0
+        out = SampledRun(
+            g, caps, 0.25, block=2, sampler=sampler, seed=0, **kwargs
+        ).run_rounds(rounds)
+        return sampler_calls[cls], out.exact_rounds
+
+    # The default budget and a budget of exactly the max degree are exact.
+    assert run(record_estimates=False) == (0, rounds)
+    assert run(record_estimates=False, sample_budget=g.max_degree) == (0, rounds)
+    # One slot short of the largest neighbourhood, or recording
+    # estimates: both sides sample every round.
+    assert run(record_estimates=False, sample_budget=g.max_degree - 1) == (2 * rounds, 0)
+    assert run(record_estimates=True) == (2 * rounds, 0)
+
+    # The test runs per phase: a budget lowered between phases (as the
+    # adaptive policy does) samples in that phase only.
+    sampler_calls[cls] = 0
+    mixed = SampledRun(g, caps, 0.25, block=2, sampler=sampler, seed=0, record_estimates=False)
+    mixed.run_phase()
+    mixed.sample_budget = g.max_degree - 1
+    mixed.run_phase()
+    mixed.sample_budget = g.max_degree
+    mixed.run_phase()
+    assert sampler_calls[cls] == 2 * 2
+    assert (mixed.exact_rounds, mixed.rounds_completed) == (4, 6)
+
+
+def test_meta_reports_the_regime():
+    inst = union_of_forests(20, 16, 2, capacity=2, seed=1)
+    d = inst.graph.max_degree
+    simulate = solve_allocation_mpc(inst, 0.2, lam=2, seed=7)
+    assert simulate.meta["max_degree"] == d
+    assert simulate.meta["sample_budget"] >= d
+    assert simulate.meta["exact_regime"] is True
+
+    faithful = dict(lam=2, mode="faithful", seed=7, space_slack=512.0)
+    for budget, exact in ((None, True), (d, True), (d - 1, False)):
+        res = solve_allocation_mpc(inst, 0.2, sample_budget=budget, **faithful)
+        assert res.meta["max_degree"] == d
+        assert res.meta["exact_regime"] is exact, budget
+
+    # Adaptive faithful: the controller ramps 1, 2, 4, 8 before it
+    # reaches the cap (the max degree).  Those phases sample, so the
+    # run is not exact though its later phases are.
+    inst = union_of_forests(48, 48, 2, capacity=2, seed=3)
+    d = inst.graph.max_degree
+    adaptive = solve_allocation_mpc(
+        inst, 0.2, lam=2, mode="faithful", seed=0, sample_budget=d,
+        block_override=1, space_slack=4096.0, certificate_cadence="per_guess",
+        budget_policy="adaptive",
+    )
+    budgets = [row["sample_budget"] for row in adaptive.ledger.trajectory]
+    assert min(budgets) < d and max(budgets) == d
+    assert adaptive.meta["max_degree"] == d
+    assert adaptive.meta["exact_regime"] is False
 
 
 def test_theoretical_budget_is_exact_at_small_scale():
