@@ -42,7 +42,7 @@ if not __package__:  # invoked as a script: self-contained path setup
 from benchmarks._scale import Bar, bench_scale, bench_script_main, cpu_info, percentile
 from repro.graphs.generators import slow_spread_instance
 from repro.serve.service import AllocationService, ServiceClient
-from repro.serve.shm import instance_hash
+from repro.serve import instance_hash
 
 # Workload sizes: (core_right, width, n_clients, requests_per_client).
 _SIZES = {

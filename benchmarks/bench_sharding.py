@@ -3,10 +3,10 @@
 BENCH_serving.json records the GIL ceiling: batch throughput ≈
 single-session throughput on a 1-CPU host, and no thread count changes
 that.  This benchmark measures what the multi-process tier
-(:class:`repro.serve.ShardedExecutor`, DESIGN.md §12) buys: a fleet of
-instances is published to shared memory once, requests route to shard
-workers by instance-content hash, and the worker count sweeps 1/2/4
-while the request stream is held fixed.
+(:class:`repro.serve.ShardedExecutor`, DESIGN.md §12) buys: requests
+for a fleet of instances route to shard workers by instance-content
+hash, each instance is pickled to its shard once, and the worker count
+sweeps 1/2/4 while the request stream is held fixed.
 
 What is recorded per (worker count, request count) cell:
 
@@ -132,8 +132,8 @@ def run_sharding_benchmarks(scale: str) -> dict:
                 cold_latency = _digest(executor.last_latencies)
 
                 # The steady-state pass: same stream against the
-                # now-warm fleet (sessions resident, shm already
-                # attached, exponents retained).
+                # now-warm fleet (instances already sent, sessions
+                # resident, exponents retained).
                 t0 = time.perf_counter()
                 warm_reports = executor.run_batch(
                     per_request, requests, seed=0, timeout=600

@@ -1,9 +1,9 @@
-"""Sharded serving: a multi-process fleet over shared-memory instances.
+"""Sharded serving: a multi-process fleet, one process pool per shard.
 
 The thread-pool batch path (DESIGN.md §8) is GIL-bound; this example
-walks the process tier (DESIGN.md §12): publish instances to shared
-memory once, fork a worker fleet that attaches them zero-copy, route
-requests by instance-content hash, and get back reports that are
+walks the process tier (DESIGN.md §12): route requests by
+instance-content hash to shard workers that keep warm sessions, send
+each instance to its shard once, and get back reports that are
 bit-identical to the thread path — at any worker count.
 
 Run:  python examples/sharded_batch.py
@@ -59,7 +59,7 @@ def main() -> None:
         print(f"tenant fan-out: warm_start per request = {warm}")
 
     # 2) The explicit executor, for callers that want the knobs:
-    #    publication, routing, per-request latency, fleet stats.
+    #    routing, per-request latency, fleet stats.
     with ShardedExecutor(2, config=config) as executor:
         print(f"routing       : A -> shard {executor.shard_of(tenant_a)}, "
               f"B -> shard {executor.shard_of(tenant_b)}")
@@ -70,8 +70,8 @@ def main() -> None:
         stats = executor.stats()
         print(f"fleet stats   : restarts={stats['restarts']}, "
               f"published={stats['published_instances']}")
-    # Context exit shut the workers down and unlinked every segment.
-    print("fleet closed  : shared memory unlinked")
+    # Context exit shut every shard's pool down and joined its worker.
+    print("fleet closed  : every worker joined")
 
 
 if __name__ == "__main__":

@@ -85,7 +85,7 @@ class SolverConfig:
         Default batch executor: ``"thread"`` (in-process
         :func:`~repro.serve.solve_batch` pool — the historical shape)
         or ``"process"`` (the :class:`~repro.serve.ShardedExecutor`
-        shard fleet with shared-memory instances, DESIGN.md §12).
+        shard fleet, one worker process per shard, DESIGN.md §12).
     shard_workers:
         Default shard-process count for the ``"process"`` executor
         (``None`` = one shard per logical core).

@@ -135,9 +135,8 @@ class Engine:
 
     def close(self) -> None:
         """Restore the backend/substrate active before :meth:`activate`,
-        and shut down the resident shard fleet — terminating its worker
-        processes and unlinking every shared-memory segment it
-        published (worker crashes included)."""
+        and shut down the resident shard fleet, joining every worker
+        process."""
         if self._fleet is not None:
             fleet, self._fleet = self._fleet, None
             fleet.close()
@@ -382,7 +381,7 @@ class Engine:
         started on first use (``workers`` falls back to the config's
         ``shard_workers``, else one shard per logical core).  A request
         for a different worker count replaces the fleet.  Closed —
-        workers terminated, shared memory unlinked — by :meth:`close`.
+        every worker joined — by :meth:`close`.
         """
         import os
 

@@ -114,6 +114,19 @@ def _engine_from_args(args: argparse.Namespace, *, session_prefix: str = ""):
     return Engine(config).activate()
 
 
+def _worker_count(text: str) -> int:
+    """argparse type of the worker-count flags: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r}"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend", default=None,
@@ -197,9 +210,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             return 2
     try:
         if args.shard_workers is not None:
-            # Multi-process tier (DESIGN.md §12): instances live in
-            # shared memory, shard workers own the sessions.  Same
-            # determinism contract, same rows, bit-identical reports.
+            # Multi-process tier (DESIGN.md §12): shard workers own
+            # the sessions.  Same determinism contract, same rows,
+            # bit-identical reports.
             reports = engine.batch(
                 instance, requests,
                 executor="process", workers=args.shard_workers,
@@ -297,10 +310,8 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
                 return 2
     try:
         if args.shard_workers is not None:
-            # Replay on the instance's shard worker (DESIGN.md §12):
-            # the delta chain runs remotely against a shared-memory
-            # attach of the instance, bit-identical to the in-process
-            # replay below.
+            # Replay on the instance's shard worker (DESIGN.md §12),
+            # bit-identical to the in-process replay below.
             fleet = engine.shard_executor(args.shard_workers)
             outcome = fleet.run_replay(instance, deltas, seed=args.seed)
             rows, dynamic_stats = list(outcome.rows), outcome.stats
@@ -544,13 +555,13 @@ def main(argv: list[str] | None = None) -> int:
                          help="batch seed (per-position streams)")
     p_batch.add_argument("--no-boost", action="store_true",
                          help="session default: skip boosting")
-    p_batch.add_argument("--workers", type=int, default=None,
+    p_batch.add_argument("--workers", type=_worker_count, default=None,
                          help="thread pool size (default: cpu-based)")
     p_batch.add_argument(
-        "--shard-workers", type=int, default=None,
+        "--shard-workers", type=_worker_count, default=None,
         help="serve through a multi-process shard fleet of this size "
-             "(shared-memory instances, instance-hash routing; "
-             "bit-identical to the thread path — DESIGN.md §12)",
+             "(instance-hash routing; bit-identical to the thread path "
+             "— DESIGN.md §12)",
     )
     _add_engine_flags(p_batch)
     p_batch.set_defaults(fn=_cmd_batch)
@@ -582,7 +593,7 @@ def main(argv: list[str] | None = None) -> int:
     p_dyn.add_argument("--no-boost", action="store_true",
                        help="session default: skip boosting")
     p_dyn.add_argument(
-        "--shard-workers", type=int, default=None,
+        "--shard-workers", type=_worker_count, default=None,
         help="replay on a shard worker process instead of in-process "
              "(bit-identical rows — DESIGN.md §12)",
     )
@@ -657,7 +668,7 @@ def main(argv: list[str] | None = None) -> int:
         help="inline: each cell in-process; process: fan out through "
              "the shard fleet (DESIGN.md §12)",
     )
-    p_sw_run.add_argument("--workers", type=int, default=None,
+    p_sw_run.add_argument("--workers", type=_worker_count, default=None,
                           help="process-executor fleet size")
     p_sw_run.add_argument("--verbose", action="store_true",
                           help="echo per-cell progress")

@@ -29,7 +29,7 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -60,6 +60,15 @@ class BipartiteGraph:
     right_indptr: np.ndarray
     right_adj: np.ndarray
     right_edge: np.ndarray
+
+    def __getstate__(self) -> dict:
+        """Pickle and deep-copy the dataclass fields only.
+
+        A solved graph also caches its layouts and round workspace in
+        ``__dict__``; the workspace holds a ``threading.local``, which
+        cannot be pickled, and every cache rebuilds on demand.
+        """
+        return {f.name: self.__dict__[f.name] for f in fields(self)}
 
     # ------------------------------------------------------------------
     # Basic accessors

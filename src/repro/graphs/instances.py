@@ -10,6 +10,7 @@ bound.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -18,7 +19,7 @@ import numpy as np
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.capacities import validate_capacities
 
-__all__ = ["AllocationInstance"]
+__all__ = ["AllocationInstance", "instance_hash"]
 
 
 @dataclass(frozen=True)
@@ -87,3 +88,22 @@ class AllocationInstance:
             "lambda_bound": self.arboricity_upper_bound,
             "total_capacity": int(self.capacities.sum()) if self.n_right else 0,
         }
+
+
+def instance_hash(instance: AllocationInstance) -> str:
+    """Stable content hash of an instance (hex sha256).
+
+    Covers everything that changes what a solve computes: the vertex
+    counts, the canonical edge arrays, and the capacity vector.  The
+    display ``name`` and free-form ``metadata`` are deliberately
+    excluded — two instances with identical structure and capacities
+    are the *same* serving target and must route to the same shard.
+    """
+    g = instance.graph
+    h = hashlib.sha256()
+    h.update(f"repro-instance-v1:{g.n_left}:{g.n_right}:{g.n_edges}".encode())
+    for arr in (g.edge_u, g.edge_v, instance.capacities):
+        a = np.ascontiguousarray(arr)
+        h.update(a.dtype.str.encode())
+        h.update(a.tobytes())
+    return h.hexdigest()

@@ -61,7 +61,6 @@ from repro.kernels.rounds import proportional_round
 from repro.kernels.workspace import (
     RoundWorkspace,
     SegmentLayout,
-    attach_workspace,
     resolve_workspace,
     transplant_workspace,
     workspace_for,
@@ -82,7 +81,6 @@ __all__ = [
     "workspace_for",
     "resolve_workspace",
     "transplant_workspace",
-    "attach_workspace",
     "proportional_round",
     "segment_sum",
     "segment_max",

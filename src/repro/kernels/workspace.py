@@ -38,7 +38,6 @@ __all__ = [
     "workspace_for",
     "resolve_workspace",
     "transplant_workspace",
-    "attach_workspace",
 ]
 
 _WORKSPACE_ATTR = "_round_workspace"
@@ -105,47 +104,6 @@ class SegmentLayout:
             starts.setflags(write=False)
             self._reduce_starts = starts
         return self._reduce_starts
-
-    @classmethod
-    def from_invariants(
-        cls,
-        indptr: np.ndarray,
-        *,
-        degrees: np.ndarray,
-        slot_owner: np.ndarray,
-        nonempty: np.ndarray,
-        reduce_starts: np.ndarray,
-    ) -> "SegmentLayout":
-        """A layout whose lazy invariants are pre-filled.
-
-        The shared-memory attach path (DESIGN.md §12): a shard worker
-        receives the invariant arrays another process already derived
-        (published alongside the CSR arrays), so the layout never pays
-        the ``repeat``/``diff`` derivation again.  The arrays must be
-        exactly what the lazy properties would compute for ``indptr`` —
-        the sharding layer publishes them straight off an owner-side
-        layout, so that holds by construction.  Arrays are treated as
-        frozen; shapes are validated, values are trusted.
-        """
-        layout = cls(indptr)
-        if degrees.shape != (layout.n_rows,):
-            raise ValueError(
-                f"degrees must have shape ({layout.n_rows},), got {degrees.shape}"
-            )
-        if slot_owner.shape != (layout.n_slots,):
-            raise ValueError(
-                f"slot_owner must have shape ({layout.n_slots},), "
-                f"got {slot_owner.shape}"
-            )
-        if nonempty.shape != (layout.n_rows,):
-            raise ValueError(
-                f"nonempty must have shape ({layout.n_rows},), got {nonempty.shape}"
-            )
-        layout._degrees = degrees
-        layout._slot_owner = slot_owner
-        layout._nonempty = nonempty
-        layout._reduce_starts = reduce_starts
-        return layout
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SegmentLayout(n_rows={self.n_rows}, n_slots={self.n_slots})"
@@ -271,37 +229,6 @@ def transplant_workspace(
     adopt("right_layout", "right_indptr", parent.right)
     ws = RoundWorkspace(new_graph)
     new_graph.__dict__[_WORKSPACE_ATTR] = ws
-    return ws
-
-
-def attach_workspace(
-    graph: "BipartiteGraph",
-    left_layout: SegmentLayout,
-    right_layout: SegmentLayout,
-) -> RoundWorkspace:
-    """Install prebuilt layouts as ``graph``'s workspace (shm attach).
-
-    The sharded-serving counterpart of :func:`transplant_workspace`
-    (DESIGN.md §12): a shard worker rebuilds an instance from
-    shared-memory views and *attaches* layouts assembled with
-    :meth:`SegmentLayout.from_invariants` instead of deriving them.
-    Each layout's ``indptr`` must be the graph's own array object (the
-    attach path builds layouts straight over the graph's shm-backed
-    views), so the optimized backend's ``layout.indptr is indptr``
-    fast-path check keeps holding.  Returns the installed workspace;
-    a workspace already cached on the graph wins (idempotent).
-    """
-    existing = graph.__dict__.get(_WORKSPACE_ATTR)
-    if existing is not None:
-        return existing
-    if left_layout.indptr is not graph.left_indptr:
-        raise ValueError("left_layout.indptr is not the graph's left_indptr array")
-    if right_layout.indptr is not graph.right_indptr:
-        raise ValueError("right_layout.indptr is not the graph's right_indptr array")
-    graph.__dict__["left_layout"] = left_layout
-    graph.__dict__["right_layout"] = right_layout
-    ws = RoundWorkspace(graph)
-    graph.__dict__[_WORKSPACE_ATTR] = ws
     return ws
 
 

@@ -15,9 +15,9 @@ shape:
   through a delta stream, re-solving (warm) after every event
   (DESIGN.md §9).
 * :class:`ShardedExecutor` — the multi-process tier (DESIGN.md §12):
-  N shard workers with resident session fleets, instances published to
-  ``multiprocessing.shared_memory`` (:mod:`repro.serve.shm`) and
-  routed by stable content hash, bit-identical to the thread path.
+  N shard workers, one process pool each, with resident session
+  fleets; requests route by the stable content hash
+  :func:`instance_hash`, bit-identical to the thread path.
 * :class:`AllocationService` + :mod:`repro.serve.snapshot` — the
   durable tier (DESIGN.md §14): versioned session snapshots with
   atomic persistence and certificate-verified restore, behind an
@@ -32,6 +32,7 @@ sessions run on lives in :mod:`repro.core.pipeline`.
 
 from __future__ import annotations
 
+from repro.graphs.instances import instance_hash
 from repro.serve.batch import solve_batch, solve_stream
 from repro.serve.replay import ReplayStep, replay_stream
 from repro.serve.session import (
@@ -40,14 +41,6 @@ from repro.serve.session import (
     SolveRequest,
     check_integral_feasible,
 )
-from repro.serve.shm import (
-    AttachedInstance,
-    SharedInstance,
-    SharedInstanceDescriptor,
-    attach_instance,
-    instance_hash,
-)
-
 from repro.serve.snapshot import (
     SNAPSHOT_SCHEMA,
     RestoredSession,
@@ -79,10 +72,6 @@ __all__ = [
     "ReplayStep",
     "replay_stream",
     "instance_hash",
-    "SharedInstance",
-    "SharedInstanceDescriptor",
-    "AttachedInstance",
-    "attach_instance",
     "ShardedExecutor",
     "ShardReplayResult",
     "SNAPSHOT_SCHEMA",

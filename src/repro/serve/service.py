@@ -50,9 +50,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Optional, Union
 
-from repro.graphs.instances import AllocationInstance
+from repro.graphs.instances import AllocationInstance, instance_hash
 from repro.serve.session import AllocationSession, SolveRequest
-from repro.serve.shm import instance_hash
 from repro.serve.snapshot import (
     SnapshotStore,
     restore_session,

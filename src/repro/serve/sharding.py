@@ -1,68 +1,49 @@
 """Multi-process sharded serving (DESIGN.md §12).
 
-``solve_batch`` is thread-parallel, so the GIL caps the whole serving
-layer at one core regardless of how fast the native kernel made each
-round (BENCH_serving.json records batch ≈ single-session throughput on
-a 1-CPU host).  :class:`ShardedExecutor` is the process-pool answer: it
-forks N shard workers, each owning a resident fleet of
-:class:`~repro.serve.AllocationSession` /
-:class:`~repro.dynamic.DynamicSession` objects, and routes every
-request by the stable content hash of its instance
-(:func:`~repro.serve.shm.instance_hash`), so the same instance always
-lands on the same shard and finds its warm session.
+:class:`ShardedExecutor` serves different instances' request streams
+in different processes, past the GIL that caps ``solve_batch``.  Each
+of its N shards is a single-process
+:class:`concurrent.futures.ProcessPoolExecutor` whose worker keeps one
+resident :class:`~repro.serve.AllocationSession` per instance.  A
+request routes by its instance's stable content hash
+(:func:`~repro.graphs.instances.instance_hash`), so an instance always
+lands on the same shard and finds its warm session there.  The
+instance travels by pickle with the first task the shard's current
+pool gets for it; a batch task returns its detached
+:class:`~repro.api.AllocationReport` objects, the worker-measured solve
+seconds and the session's committed β, which the dispatcher keeps.
 
-Communication follows the one-sided shared-memory discipline of the
-2.5D SpGEMM line of work (PAPERS.md): instance state — CSR arrays,
-capacities, derived kernel-layout invariants, and the retained
-converged β exponent vector — lives in named
-``multiprocessing.shared_memory`` segments
-(:mod:`repro.serve.shm`); workers *attach by name* instead of
-receiving pickled arrays, and only small control messages (request
-overrides, seeds, positions) travel over the queues.  Results come
-back as versioned :class:`~repro.api.AllocationReport` JSON and are
-returned to the caller as detached reports.
+Determinism: request ``i`` with no explicit seed receives
+``spawn(seed, n)[i]``, assigned *before* routing, and each shard serves
+its instances' sub-streams in position order under the thread path's
+snapshot/commit rule (:mod:`repro.serve.batch`).  A batch is a pure
+function of ``(instances, requests, seed)``, bit-identical across
+worker counts and to the thread executor (``tests/test_sharding.py``).
 
-Determinism (the cross-executor contract, asserted in
-``tests/test_sharding.py``): request ``i`` with no explicit seed
-receives ``spawn(seed, n)[i]`` — assigned by the dispatcher *before*
-routing — and each shard processes its instances' sub-streams in
-position order with exactly the thread path's snapshot/commit rule
-(:mod:`repro.serve.batch`).  A batch is therefore a pure function of
-``(instances, request list, seed)``: bit-identical across worker
-counts 1/2/4 and bit-identical to the thread executor on the same
-stream.
-
-Crash semantics: a worker death is detected during result collection
-(the batch raises ``RuntimeError`` naming the lost shard); the next
-batch respawns the worker, which re-attaches its instances and
-re-primes warm state from the shared exponent segments — warmth
-survives the crash.  :meth:`ShardedExecutor.close` (also run via a
-``weakref.finalize`` guard on interpreter exit) terminates workers and
-unlinks every published segment, dead workers or not.
+Crashes: a pool that raises ``BrokenProcessPool``, at submit or at
+result, is replaced, and the shard's unfinished tasks re-run once on
+the fresh pool, primed from the dispatcher's β.  Nothing is committed
+at the dispatcher until a task succeeds, so the re-run returns what an
+uninterrupted fleet would.  A second break in one call raises
+``RuntimeError`` naming the shard.
 """
 
 from __future__ import annotations
 
-import json
 import multiprocessing as mp
-import queue as queue_mod
 import time
 import traceback
-import weakref
+from concurrent.futures import Future, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from typing import Any, Mapping, Optional, Sequence, Union
 
-from repro.graphs.instances import AllocationInstance
-from repro.serve.session import SolveRequest
-from repro.serve.shm import SharedInstance, attach_instance, instance_hash
+from repro.graphs.instances import AllocationInstance, instance_hash
+from repro.serve.session import AllocationSession, SolveRequest
 from repro.utils.rng import spawn
 from repro.utils.validation import check_positive_int
 
 __all__ = ["ShardedExecutor", "ShardReplayResult"]
-
-InstancesLike = Union[AllocationInstance, Sequence[AllocationInstance]]
-
-_POLL_SECONDS = 0.2
 
 
 @dataclass(frozen=True)
@@ -78,173 +59,130 @@ class ShardReplayResult:
 
 
 # ----------------------------------------------------------------------
-# Worker side
+# Worker side: one shard per pool process
 # ----------------------------------------------------------------------
-def _shard_worker(index: int, task_queue, result_queue, config: SolverConfig) -> None:
-    """One shard: attach instances, serve sub-streams, report JSON.
+class _Shard:
+    """A shard worker's resident state: one session per instance it
+    was sent, and its counters."""
 
-    Runs until a ``("shutdown",)`` message.  Module-level so every
-    start method (fork/spawn/forkserver) can import it.
-    """
-    from repro.api.engine import Engine
-    from repro.api.report import AllocationReport
-    from repro.serve.session import AllocationSession
+    def __init__(self, config: SolverConfig):
+        self.config = config
+        self.sessions: dict[str, AllocationSession] = {}
+        self.counters = {"batches": 0, "replays": 0, "solves": 0}
 
-    engine = Engine(config).activate()
-    attached: dict[str, Any] = {}
-    sessions: dict[str, AllocationSession] = {}
-    counters = {"batches": 0, "replays": 0, "solves": 0}
-
-    def _attachment(content_hash: str, descriptor):
-        att = attached.get(content_hash)
-        if att is None:
-            if descriptor is None:  # pragma: no cover - dispatcher always resends
-                raise RuntimeError(
-                    f"shard {index} has no attachment for {content_hash[:12]}"
-                )
-            att = attach_instance(descriptor)
-            attached[content_hash] = att
-        return att
-
-    def _session(content_hash: str, descriptor) -> AllocationSession:
-        session = sessions.get(content_hash)
-        if session is None:
-            att = _attachment(content_hash, descriptor)
-            session = AllocationSession(att.instance, **config.session_kwargs())
-            warm = att.load_exponents()
+    def session(self, content_hash: str, shipped) -> AllocationSession:
+        if shipped is not None:
+            instance, warm = shipped
+            session = AllocationSession(instance, **self.config.session_kwargs())
             if warm is not None:
-                # Crash recovery / executor-level warmth: prime from the
-                # shared segment so the first solve warm-starts.
+                # A fresh pool after a crash: prime from the
+                # dispatcher's β so the first solve warm-starts exactly
+                # as the lost session would have.
                 session.prime_exponents(warm)
-            sessions[content_hash] = session
-        return session
+            self.sessions[content_hash] = session
+        return self.sessions[content_hash]
 
-    def _handle_batch(seq, content_hash, descriptor, items, prime) -> None:
-        counters["batches"] += 1
-        positions = [p for p, _ in items]
-        try:
-            session = _session(content_hash, descriptor)
-            results: dict[int, Any] = {}
-            latencies: dict[int, float] = {}
-            rest = items
-            if prime and items:
-                # Mirror solve_stream: first request serially through
-                # solve() (committing its exponents), remainder batched
-                # from the post-commit snapshot.
-                pos0, req0 = items[0]
-                t0 = time.perf_counter()
-                results[pos0] = session.solve(req0)
-                latencies[pos0] = time.perf_counter() - t0
-                rest = items[1:]
-            if rest:
-                # The solve_batch snapshot/commit rule, serialized: all
-                # requests from one snapshot, highest position commits.
-                snapshot = session.exponents_snapshot()
-                for pos, req in rest:
-                    initial = snapshot if req.warm else None
-                    t0 = time.perf_counter()
-                    results[pos] = session.solve_detached(
-                        req, initial_exponents=initial
-                    )
-                    latencies[pos] = time.perf_counter() - t0
-                session.commit(results[rest[-1][0]])
-            counters["solves"] += len(items)
-            exponents = session.exponents_snapshot()
-            if exponents is not None:
-                attached[content_hash].store_exponents(exponents)
-            for pos in positions:
-                # Transport as unsorted JSON: insertion order survives
-                # the hop, so a detached report prints summary rows
-                # key-for-key identical to a live one.
-                report = AllocationReport.from_pipeline(results[pos])
-                result_queue.put(
-                    ("ok", seq, index, pos, json.dumps(report.payload),
-                     latencies[pos])
-                )
-        except Exception:
-            result_queue.put(
-                ("batch_err", seq, index, positions, traceback.format_exc())
+
+_shard: Optional[_Shard] = None  # this worker's state, set by _init_shard
+
+
+def _init_shard(config: SolverConfig) -> None:
+    """Pool initializer: activate ``config`` and start an empty shard.
+    Module-level, like every task below, so every start method
+    (fork/spawn/forkserver) can import it."""
+    global _shard
+    from repro.api.engine import Engine
+
+    Engine(config).activate()
+    _shard = _Shard(config)
+
+
+def _serve_group(content_hash: str, shipped, items, prime: bool):
+    """Task: serve one instance's sub-stream in position order.
+
+    Returns ``(report per item, solve seconds per item, the session's
+    committed β)``.  A live report pickles as its detached schema
+    payload, key order intact, so it prints summary rows key-for-key
+    identical to a live one on the other side.
+    """
+    from repro.api.report import AllocationReport
+
+    _shard.counters["batches"] += 1
+    session = _shard.session(content_hash, shipped)
+    results: dict[int, Any] = {}
+    latencies: dict[int, float] = {}
+    rest = items
+    if prime and items:
+        # Mirror solve_stream: first request serially through
+        # solve() (committing its exponents), remainder batched
+        # from the post-commit snapshot.
+        pos0, req0 = items[0]
+        t0 = time.perf_counter()
+        results[pos0] = session.solve(req0)
+        latencies[pos0] = time.perf_counter() - t0
+        rest = items[1:]
+    if rest:
+        # The solve_batch snapshot/commit rule, serialized: all
+        # requests from one snapshot, highest position commits.
+        snapshot = session.exponents_snapshot()
+        for pos, req in rest:
+            initial = snapshot if req.warm else None
+            t0 = time.perf_counter()
+            results[pos] = session.solve_detached(
+                req, initial_exponents=initial
             )
+            latencies[pos] = time.perf_counter() - t0
+        session.commit(results[rest[-1][0]])
+    _shard.counters["solves"] += len(items)
+    return (
+        [AllocationReport.from_pipeline(results[pos]) for pos, _ in items],
+        [latencies[pos] for pos, _ in items],
+        session.exponents_snapshot(),
+    )
 
-    def _handle_replay(token, content_hash, descriptor, deltas, requests,
-                       seed, prime) -> None:
-        counters["replays"] += 1
-        try:
-            from repro.dynamic.session import DynamicSession
-            from repro.serve.replay import replay_stream
 
-            att = _attachment(content_hash, descriptor)
-            dynamic = DynamicSession(att.instance, **config.session_kwargs())
-            prime_json = None
-            if prime:
-                prime_json = json.dumps(AllocationReport.from_pipeline(
-                    dynamic.resolve(seed=seed)
-                ).payload)
-            steps = replay_stream(dynamic, deltas, seed=seed, requests=requests)
-            counters["solves"] += len(steps) + int(prime)
-            payload = {
-                "prime": prime_json,
-                "rows": [step.as_row() for step in steps],
-                "reports": [
-                    json.dumps(AllocationReport.from_pipeline(step.result).payload)
-                    for step in steps
-                ],
-                "stats": dynamic.stats.as_dict(),
-            }
-            result_queue.put(("replay_ok", index, token, payload))
-        except Exception:
-            result_queue.put(("replay_err", index, token, traceback.format_exc()))
+def _replay_stream(content_hash: str, shipped, deltas, requests, seed,
+                   prime: bool) -> ShardReplayResult:
+    """Task: replay a delta stream on a fresh DynamicSession."""
+    from repro.api.report import AllocationReport
+    from repro.dynamic.session import DynamicSession
+    from repro.serve.replay import replay_stream
 
-    try:
-        while True:
-            msg = task_queue.get()
-            kind = msg[0]
-            if kind == "shutdown":
-                break
-            if kind == "batch":
-                _handle_batch(*msg[1:])
-            elif kind == "replay":
-                _handle_replay(*msg[1:])
-            elif kind == "stats":
-                result_queue.put(
-                    ("stats", index, {
-                        "worker": dict(counters),
-                        "sessions": {
-                            h: s.stats.as_dict() for h, s in sessions.items()
-                        },
-                    })
-                )
-    finally:
-        for att in attached.values():
-            att.close()
-        engine.close()
+    _shard.counters["replays"] += 1
+    instance = _shard.session(content_hash, shipped).instance
+    dynamic = DynamicSession(instance, **_shard.config.session_kwargs())
+    prime_report = None
+    if prime:
+        prime_report = AllocationReport.from_pipeline(dynamic.resolve(seed=seed))
+    steps = replay_stream(dynamic, deltas, seed=seed, requests=requests)
+    _shard.counters["solves"] += len(steps) + int(prime)
+    return ShardReplayResult(
+        prime=prime_report,
+        rows=tuple(step.as_row() for step in steps),
+        reports=tuple(AllocationReport.from_pipeline(s.result) for s in steps),
+        stats=dynamic.stats.as_dict(),
+    )
+
+
+def _shard_stats() -> dict:
+    """Task: the worker's counters and per-instance session stats."""
+    return {
+        "worker": dict(_shard.counters),
+        "sessions": {h: s.stats.as_dict() for h, s in _shard.sessions.items()},
+    }
 
 
 # ----------------------------------------------------------------------
 # Dispatcher side
 # ----------------------------------------------------------------------
-def _terminate_and_unlink(procs: list, shared: dict) -> None:
-    """Finalizer body: kill workers, free segments.  Holds only the
-    mutable containers, never the executor, so GC can collect it."""
-    for proc in procs:
-        if proc is not None and proc.is_alive():
-            proc.terminate()
-    for proc in procs:
-        if proc is not None:
-            proc.join(timeout=2.0)
-    for handle in shared.values():
-        handle.unlink()
-    shared.clear()
-
-
 class ShardedExecutor:
     """A resident fleet of shard worker processes (DESIGN.md §12).
 
     Parameters
     ----------
     workers:
-        Number of shard processes.  Each owns the sessions of the
-        instances hashing to it.
+        Number of shards, each one worker process.  Each owns the
+        sessions of the instances hashing to it.
     config:
         The :class:`~repro.api.SolverConfig` every worker activates and
         builds sessions from (defaults: ``SolverConfig()``).
@@ -252,10 +190,8 @@ class ShardedExecutor:
         ``multiprocessing`` start method; default prefers ``fork``
         (cheap, Linux) and falls back to ``spawn``.
 
-    Use as a context manager, or pair with :meth:`close` — closing
-    shuts the workers down and unlinks every shared-memory segment the
-    executor published (a ``weakref.finalize`` guard does the same on
-    interpreter exit if the caller forgot).
+    Use as a context manager, or pair with :meth:`close`, which shuts
+    every shard's pool down and joins its worker.
     """
 
     def __init__(
@@ -282,113 +218,54 @@ class ShardedExecutor:
                 "fork" if "fork" in mp.get_all_start_methods() else "spawn"
             )
         self._ctx = mp.get_context(start_method)
-        self._procs: list = [None] * self.workers
-        self._task_queues: list = [None] * self.workers
-        self._result_queue = None
-        self._shared: dict[str, SharedInstance] = {}
+        self._pools: list[Optional[ProcessPoolExecutor]] = [None] * self.workers
+        # Content hashes each shard's current pool has been sent.
         self._sent: list[set[str]] = [set() for _ in range(self.workers)]
-        self._batch_seq = 0
-        self._replay_token = 0
+        # The latest committed β per instance: what a fresh pool primes
+        # its sessions from.
+        self._warm: dict[str, Any] = {}
         self.restarts = 0
         self.last_latencies: list[Optional[float]] = []
-        self._started = False
         self._closed = False
-        self._finalizer = None
 
     # -- lifecycle -------------------------------------------------------
     def start(self) -> "ShardedExecutor":
-        """Spawn the fleet (idempotent; batches call this lazily)."""
-        if self._closed:
-            raise RuntimeError("executor is closed")
-        if not self._started:
-            self._result_queue = self._ctx.Queue()
-            for i in range(self.workers):
-                self._spawn_worker(i)
-            self._started = True
-            self._finalizer = weakref.finalize(
-                self, _terminate_and_unlink, self._procs, self._shared
-            )
+        """Create the shard pools (idempotent; batches call this
+        lazily).  Each pool starts its worker with its first task."""
+        for shard in range(self.workers):
+            self._pool(shard)
         return self
 
-    def _spawn_worker(self, index: int) -> None:
-        task_queue = self._ctx.Queue()
-        proc = self._ctx.Process(
-            target=_shard_worker,
-            args=(index, task_queue, self._result_queue, self.config),
-            daemon=True,
-            name=f"repro-shard-{index}",
-        )
-        proc.start()
-        self._task_queues[index] = task_queue
-        self._procs[index] = proc
-        # A fresh worker has no attachments: resend descriptors.
-        self._sent[index] = set()
+    def _pool(self, shard: int) -> ProcessPoolExecutor:
+        if self._closed:
+            raise RuntimeError("executor is closed")
+        pool = self._pools[shard]
+        if pool is None:
+            pool = ProcessPoolExecutor(
+                1, mp_context=self._ctx,
+                initializer=_init_shard, initargs=(self.config,),
+            )
+            self._pools[shard] = pool
+        return pool
 
-    def _ensure_workers(self) -> None:
-        self.start()
-        dead = False
-        for proc in self._procs:
-            if proc is None:
-                dead = True
-            elif not proc.is_alive():
-                proc.join(timeout=1.0)
-                self.restarts += 1
-                dead = True
-        if dead:
-            self._rebuild_fleet()
-
-    def _rebuild_fleet(self) -> None:
-        """Respawn the whole fleet on a fresh result queue.
-
-        Per-worker respawn into the surviving result queue is not
-        safe: a worker killed abruptly can die between ``send_bytes``
-        and releasing the queue's shared write lock (its feeder thread
-        acquires the lock around every send, and on a busy host the
-        dispatcher can consume the result and issue the kill before
-        the feeder is rescheduled to release).  The lock then stays
-        held forever and every other writer's feeder blocks in
-        ``wacquire`` — so one abrupt death poisons the queue for the
-        fleet.  Discarding the queues and respawning everyone is the
-        only clean recovery; warmth is not lost because converged
-        exponents live in the shared-memory exponent segments, which
-        the fresh workers re-attach and prime from.
-        """
-        for proc in self._procs:
-            if proc is not None and proc.is_alive():
-                proc.terminate()
-        for proc in self._procs:
-            if proc is not None:
-                proc.join(timeout=2.0)
-        for q in [*self._task_queues, self._result_queue]:
-            if q is not None:
-                q.close()
-                q.cancel_join_thread()
-        self._result_queue = self._ctx.Queue()
-        for i in range(self.workers):
-            self._spawn_worker(i)
+    def _replace(self, shard: int) -> None:
+        """Drop a broken pool; the shard's next task starts a fresh
+        one, which is sent every instance again."""
+        self._pools[shard].shutdown(wait=True, cancel_futures=True)
+        self._pools[shard] = None
+        self._sent[shard].clear()
+        self.restarts += 1
 
     def close(self) -> None:
-        """Shut the fleet down and unlink every published segment —
-        effective even when workers already crashed.  Idempotent."""
+        """Shut every shard pool down and join its worker — queued
+        tasks are cancelled, a running one is waited for.
+        Idempotent."""
         if self._closed:
             return
         self._closed = True
-        if self._started:
-            for i, proc in enumerate(self._procs):
-                if proc is not None and proc.is_alive():
-                    try:
-                        self._task_queues[i].put(("shutdown",))
-                    except (ValueError, OSError):  # pragma: no cover
-                        pass
-            for proc in self._procs:
-                if proc is not None:
-                    proc.join(timeout=5.0)
-            if self._finalizer is not None:
-                self._finalizer()  # terminates stragglers, unlinks shm
-            for q in [*self._task_queues, self._result_queue]:
-                if q is not None:
-                    q.close()
-                    q.cancel_join_thread()
+        for pool in self._pools:
+            if pool is not None:
+                pool.shutdown(wait=True, cancel_futures=True)
 
     def __enter__(self) -> "ShardedExecutor":
         return self.start()
@@ -403,36 +280,82 @@ class ShardedExecutor:
         hash modulo worker count)."""
         return int(instance_hash(instance), 16) % self.workers
 
-    def publish(self, instance: AllocationInstance) -> str:
-        """Place ``instance`` in shared memory (idempotent per
-        content); returns its content hash."""
-        content = instance_hash(instance)
-        if content not in self._shared:
-            self._shared[content] = SharedInstance.publish(instance)
-        return content
-
     def warm_exponents(self, instance: AllocationInstance):
-        """Dispatcher-side peek at an instance's retained β vector in
-        shared memory (``None`` before its shard first commits)."""
-        content = instance_hash(instance)
-        handle = self._shared.get(content)
-        if handle is None:
-            return None
-        _, exponents = handle.exponents()
-        return exponents
+        """The instance's latest committed β vector, as its shard
+        returned it (``None`` before the shard first commits)."""
+        exponents = self._warm.get(instance_hash(instance))
+        return None if exponents is None else exponents.copy()
 
-    def _descriptor_for(self, shard: int, content: str):
-        """The descriptor to ship with a task — only on the shard's
-        first sight of the instance (or after a respawn)."""
-        if content in self._sent[shard]:
-            return None
-        self._sent[shard].add(content)
-        return self._shared[content].descriptor
+    def _run(self, jobs: dict, timeout: Optional[float]) -> tuple:
+        """Run one task per instance on its shard; read every outcome.
+
+        ``jobs`` maps a content hash to ``(instance, task, args, what)``:
+        the shard runs ``task(content, shipped, *args)``, where
+        ``shipped`` is ``(instance, β)`` on its current pool's first
+        sight of the instance and ``None`` after, and ``what`` ends the
+        job's error messages.  A pool that breaks, at submit or at
+        result, is replaced and its jobs re-run once on the fresh pool.
+        Returns the results by content hash and the first failure; a
+        job still running at the deadline is not waited for.
+        """
+
+        def submit(content: str) -> tuple:
+            instance, task, args, _ = jobs[content]
+            shard = int(content, 16) % self.workers
+            pool = self._pool(shard)
+            shipped = None
+            if content not in self._sent[shard]:
+                self._sent[shard].add(content)
+                shipped = instance, self._warm.get(content)
+            try:
+                return pool, pool.submit(task, content, shipped, *args)
+            except BrokenProcessPool as exc:
+                # Fail the future instead, so a break at submit and
+                # one at result take the same path below.
+                failed: Future = Future()
+                failed.set_exception(exc)
+                return pool, failed
+
+        submitted = {content: submit(content) for content in jobs}
+        deadline = None if timeout is None else time.monotonic() + timeout
+        broken: set[int] = set()
+        results: dict[str, Any] = {}
+        failure: Optional[Exception] = None
+        for content, (_, _, _, what) in jobs.items():
+            shard = int(content, 16) % self.workers
+            pool, future = submitted[content]
+            while content not in results:
+                left = None if deadline is None else deadline - time.monotonic()
+                if not wait([future], timeout=left).done:
+                    failure = failure or TimeoutError(
+                        f"shard worker {shard} timed out {what}"
+                    )
+                    break
+                try:
+                    results[content] = future.result()
+                except BrokenProcessPool:
+                    if self._pools[shard] is pool:
+                        self._replace(shard)
+                        if shard in broken:
+                            failure = failure or RuntimeError(
+                                f"shard worker {shard} died {what}, and "
+                                "again after its pool was replaced"
+                            )
+                            break
+                        broken.add(shard)
+                    pool, future = submit(content)
+                except Exception as exc:
+                    tb = "".join(traceback.format_exception(exc))
+                    failure = failure or RuntimeError(
+                        f"shard worker {shard} failed {what}:\n{tb}"
+                    )
+                    break
+        return results, failure
 
     # -- batch execution -------------------------------------------------
     def run_batch(
         self,
-        instances: InstancesLike,
+        instances: Union[AllocationInstance, Sequence[AllocationInstance]],
         requests: Sequence[Union[SolveRequest, Mapping[str, Any]]],
         *,
         seed=None,
@@ -477,71 +400,32 @@ class ShardedExecutor:
 
         # Group by content hash, preserving position order per group.
         groups: dict[str, list[tuple[int, SolveRequest]]] = {}
+        tenants: dict[str, AllocationInstance] = {}
         for i, inst in enumerate(per_request):
-            content = self.publish(inst)
+            content = instance_hash(inst)
+            tenants.setdefault(content, inst)
             groups.setdefault(content, []).append((i, seeded[i]))
 
-        self._ensure_workers()
-        self._batch_seq += 1
-        seq = self._batch_seq
-        outstanding: dict[int, set[int]] = {i: set() for i in range(self.workers)}
-        for content, items in groups.items():
-            shard = int(content, 16) % self.workers
-            descriptor = self._descriptor_for(shard, content)
-            self._task_queues[shard].put(
-                ("batch", seq, content, descriptor, items, prime)
-            )
-            outstanding[shard].update(pos for pos, _ in items)
-
-        payloads: dict[int, str] = {}
+        results, failure = self._run({
+            content: (tenants[content], _serve_group, (items, prime),
+                      f"on positions {[pos for pos, _ in items]}")
+            for content, items in groups.items()
+        }, timeout)
+        ordered: list[Optional[AllocationReport]] = [None] * n
         latencies: list[Optional[float]] = [None] * n
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while len(payloads) < n:
-            try:
-                msg = self._result_queue.get(timeout=_POLL_SECONDS)
-            except queue_mod.Empty:
-                if deadline is not None and time.monotonic() > deadline:
-                    raise TimeoutError(
-                        f"sharded batch timed out with {n - len(payloads)} "
-                        "results outstanding"
-                    )
-                self._check_liveness(outstanding)
-                continue
-            kind = msg[0]
-            if kind == "ok" and msg[1] == seq:
-                _, _, worker, pos, report_json, elapsed = msg
-                payloads[pos] = report_json
+        for content, (reports, seconds, exponents) in results.items():
+            # Committed even when another group failed: the shard's
+            # session holds this β now.
+            self._warm[content] = exponents
+            for (pos, _), report, elapsed in zip(
+                groups[content], reports, seconds
+            ):
+                ordered[pos] = report
                 latencies[pos] = elapsed
-                outstanding[worker].discard(pos)
-            elif kind == "batch_err" and msg[1] == seq:
-                _, _, worker, positions, tb = msg
-                raise RuntimeError(
-                    f"shard worker {worker} failed on positions {positions}:\n{tb}"
-                )
-            # Anything else is a stale response: a batch that raised
-            # (worker death, batch_err) can leave other shards'
-            # messages queued, and their positions would collide with
-            # this batch's.  The sequence tag keeps them apart.
-        from repro.api.report import AllocationReport
-
+        if failure is not None:
+            raise failure
         self.last_latencies = latencies
-        return [AllocationReport.from_json(payloads[i]) for i in range(n)]
-
-    def _check_liveness(self, outstanding: dict[int, set[int]]) -> None:
-        for i, proc in enumerate(self._procs):
-            if proc is not None and not proc.is_alive() and outstanding[i]:
-                lost = sorted(outstanding[i])
-                # Mark dead so the next batch respawns (warm state
-                # survives in the shared exponent segments).
-                proc.join(timeout=1.0)
-                self._procs[i] = None
-                self.restarts += 1
-                raise RuntimeError(
-                    f"shard worker {i} died (exitcode {proc.exitcode}) with "
-                    f"positions {lost} in flight; resubmit the batch — the "
-                    "executor respawns the shard and recovers warm state "
-                    "from shared memory"
-                )
+        return ordered
 
     # -- dynamic replay ----------------------------------------------------
     def run_replay(
@@ -559,67 +443,37 @@ class ShardedExecutor:
         is across *streams*).  Mirrors ``Engine.stream`` semantics:
         bit-identical rows and reports to the in-process replay for the
         same ``(instance, deltas, seed)``."""
-        deltas = list(deltas)
-        content = self.publish(instance)
-        self._ensure_workers()
-        shard = int(content, 16) % self.workers
-        self._replay_token += 1
-        token = self._replay_token
-        descriptor = self._descriptor_for(shard, content)
-        self._task_queues[shard].put(
-            ("replay", token, content, descriptor, deltas,
-             None if requests is None else list(requests), seed, prime)
-        )
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            try:
-                msg = self._result_queue.get(timeout=_POLL_SECONDS)
-            except queue_mod.Empty:
-                if deadline is not None and time.monotonic() > deadline:
-                    raise TimeoutError("sharded replay timed out")
-                self._check_liveness({shard: {-1}, **{
-                    i: set() for i in range(self.workers) if i != shard
-                }})
-                continue
-            kind = msg[0]
-            if kind == "replay_ok" and msg[2] == token:
-                from repro.api.report import AllocationReport
-
-                payload = msg[3]
-                return ShardReplayResult(
-                    prime=None if payload["prime"] is None
-                    else AllocationReport.from_json(payload["prime"]),
-                    rows=tuple(payload["rows"]),
-                    reports=tuple(
-                        AllocationReport.from_json(r) for r in payload["reports"]
-                    ),
-                    stats=dict(payload["stats"]),
-                )
-            if kind == "replay_err" and msg[2] == token:
-                raise RuntimeError(
-                    f"shard worker {msg[1]} failed replaying the stream:\n{msg[3]}"
-                )
+        content = instance_hash(instance)
+        results, failure = self._run({content: (
+            instance, _replay_stream,
+            (list(deltas), None if requests is None else list(requests),
+             seed, prime),
+            "replaying the stream",
+        )}, timeout)
+        if failure is not None:
+            raise failure
+        return results[content]
 
     # -- introspection -----------------------------------------------------
     def stats(self, *, timeout: float = 10.0) -> dict[str, Any]:
         """Aggregated fleet statistics: per-worker counters and
-        per-instance session stats, plus dispatcher-side restart and
-        publication counts."""
-        self._ensure_workers()
-        for q in self._task_queues:
-            q.put(("stats",))
-        collected: dict[int, dict] = {}
-        deadline = time.monotonic() + timeout
-        while len(collected) < self.workers and time.monotonic() < deadline:
+        per-instance session stats (``None`` for a shard that did not
+        answer within ``timeout``), plus the restart count and the
+        number of instances the current pools hold."""
+        futures = {}
+        for shard in range(self.workers):
             try:
-                msg = self._result_queue.get(timeout=_POLL_SECONDS)
-            except queue_mod.Empty:
-                continue
-            if msg[0] == "stats":
-                collected[msg[1]] = msg[2]
+                futures[shard] = self._pool(shard).submit(_shard_stats)
+            except BrokenProcessPool:
+                self._replace(shard)
+        wait(futures.values(), timeout=timeout)
+        shards = {str(shard): None for shard in range(self.workers)}
+        for shard, future in futures.items():
+            if future.done() and future.exception() is None:
+                shards[str(shard)] = future.result()
         return {
             "workers": self.workers,
             "restarts": self.restarts,
-            "published_instances": len(self._shared),
-            "shards": {str(i): collected.get(i) for i in range(self.workers)},
+            "published_instances": len(set().union(*self._sent)),
+            "shards": shards,
         }

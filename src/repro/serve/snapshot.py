@@ -36,9 +36,9 @@ from typing import Any, Mapping, Optional, Union
 
 import numpy as np
 
+from repro.graphs.instances import instance_hash
 from repro.graphs.io import instance_from_json, instance_to_json
 from repro.serve.session import AllocationSession
-from repro.serve.shm import instance_hash
 
 __all__ = [
     "SNAPSHOT_SCHEMA",

@@ -266,3 +266,32 @@ def test_cli_batch_missing_instance(tmp_path, capsys):
         "batch", str(requests), "--instance", str(tmp_path / "none.json"),
     ]) == 2
     assert "not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["batch", "{requests}", "--instance", "{instance}",
+          "--workers", "-3"], "--workers"),
+        (["batch", "{requests}", "--instance", "{instance}",
+          "--shard-workers", "0"], "--shard-workers"),
+        (["dynamic", "--instance", "{instance}", "--scenario",
+          "diurnal_wave", "--shard-workers", "0"], "--shard-workers"),
+        (["sweep", "run", "--spec", "{requests}", "--out", "{out}",
+          "--workers", "0"], "--workers"),
+        (["batch", "{requests}", "--instance", "{instance}",
+          "--workers", "two"], "--workers"),
+    ],
+)
+def test_cli_worker_count_below_one_is_a_flag_error(
+    tmp_path, instance_file, capsys, argv, flag
+):
+    paths = {
+        "requests": str(_write_requests(tmp_path, [{}])),
+        "instance": str(instance_file),
+        "out": str(tmp_path / "sweep"),
+    }
+    with pytest.raises(SystemExit) as exc:
+        cli_main([arg.format(**paths) for arg in argv])
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err

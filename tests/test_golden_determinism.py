@@ -88,7 +88,7 @@ def _service_transcript() -> list[tuple]:
 
     from repro.graphs.generators import power_law_instance
     from repro.serve.service import AllocationService, ServiceClient
-    from repro.serve.shm import instance_hash
+    from repro.serve import instance_hash
 
     instance = power_law_instance(n_left=60, n_right=24, seed=3)
     h = instance_hash(instance)

@@ -251,7 +251,7 @@ def test_service_rejects_out_of_range_request_fields(tmp_path, serving_instance)
     import asyncio
 
     from repro.serve.service import AllocationService, ServiceClient
-    from repro.serve.shm import instance_hash
+    from repro.serve import instance_hash
 
     h = instance_hash(serving_instance)
 

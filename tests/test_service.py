@@ -25,7 +25,7 @@ from repro.dynamic.session import DynamicSession
 from repro.graphs.generators import erdos_renyi_instance, power_law_instance
 from repro.serve.service import AllocationService, ServiceClient
 from repro.serve.session import AllocationSession
-from repro.serve.shm import instance_hash
+from repro.serve import instance_hash
 from repro.serve.snapshot import (
     SNAPSHOT_SCHEMA,
     SnapshotStore,

@@ -29,7 +29,7 @@ from repro.graphs.capacities import validate_integral_allocation
 from repro.graphs.generators import power_law_instance
 from repro.graphs.io import save_instance
 from repro.serve.service import ServiceClient
-from repro.serve.shm import instance_hash
+from repro.serve import instance_hash
 from repro.serve.snapshot import SnapshotStore, restore_session
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")

@@ -2,28 +2,29 @@
 
 What is covered here:
 
-* the shared-memory instance round trip (publish → attach → identical
-  arrays, attached-workspace fast-path identity, exponent segment
-  versioning);
 * the routing rule (stable content hash: metadata-blind, capacity-
   sensitive, same instance → same shard);
 * the process-boundary pickle contracts (``SolverConfig``,
-  ``AllocationReport`` live→detached, ``SolveRequest``);
+  ``AllocationReport`` live→detached, ``SolveRequest``, a solved
+  instance);
 * the cross-executor determinism matrix: one request stream through
   the thread batch, a 1-worker process pool, and a 4-worker process
   pool must yield bit-identical allocations, certificates, and round
   counts;
-* fleet lifecycle: warm state across batches, crash respawn with warm
-  recovery from shared memory, clean shutdown/unlink via
-  ``Engine.close()``;
+* fleet lifecycle: warm state across batches, worker deaths between
+  and during batches recovered by a replaced pool primed from the
+  dispatcher's β, repeated deaths raising, and no child process left
+  after ``close()`` / ``Engine.close()``;
 * the sharded dynamic replay vs the in-process ``Engine.stream``.
 """
 
 from __future__ import annotations
 
-import glob
+import copy
+import multiprocessing
+import os
 import pickle
-import time
+import signal
 
 import numpy as np
 import pytest
@@ -34,18 +35,10 @@ from repro.graphs.generators import erdos_renyi_instance, power_law_instance
 from repro.serve import (
     AllocationSession,
     ShardedExecutor,
-    SharedInstance,
     SolveRequest,
-    attach_instance,
     instance_hash,
     solve_batch,
     solve_stream,
-)
-
-_GRAPH_FIELDS = (
-    "edge_u", "edge_v",
-    "left_indptr", "left_adj", "left_edge",
-    "right_indptr", "right_adj", "right_edge",
 )
 
 
@@ -70,8 +63,10 @@ def _dicts(reports):
     return [r.to_dict() for r in reports]
 
 
-def _leaked_segments():
-    return glob.glob("/dev/shm/repro_*")
+def _kill_worker(executor, shard):
+    """SIGKILL the shard's worker process while it is idle."""
+    pid = executor._pools[shard].submit(os.getpid).result(timeout=60)
+    os.kill(pid, signal.SIGKILL)
 
 
 # ----------------------------------------------------------------------
@@ -116,141 +111,6 @@ class TestInstanceHash:
 
 
 # ----------------------------------------------------------------------
-# Shared-memory round trip
-# ----------------------------------------------------------------------
-class TestSharedInstance:
-    def test_publish_attach_round_trip(self, instance):
-        handle = SharedInstance.publish(instance)
-        attached = attach_instance(handle.descriptor)
-        try:
-            g1, g2 = instance.graph, attached.instance.graph
-            for field in _GRAPH_FIELDS:
-                assert np.array_equal(getattr(g1, field), getattr(g2, field))
-            assert np.array_equal(instance.capacities, attached.instance.capacities)
-            assert attached.instance.name == instance.name
-            assert not attached.instance.capacities.flags.writeable
-        finally:
-            attached.close()
-            handle.unlink()
-
-    def test_attached_workspace_fast_path_identity(self, instance):
-        """The optimized backend trusts a layout only when
-        ``layout.indptr is indptr`` — the attach path must preserve
-        that identity over the shm views."""
-        handle = SharedInstance.publish(instance)
-        attached = attach_instance(handle.descriptor)
-        try:
-            graph = attached.instance.graph
-            assert graph.left_layout.indptr is graph.left_indptr
-            assert graph.right_layout.indptr is graph.right_indptr
-            # and the layout invariants match a fresh derivation
-            fresh = instance.graph
-            assert np.array_equal(
-                graph.left_layout.slot_owner, fresh.left_layout.slot_owner
-            )
-            assert np.array_equal(
-                graph.right_layout.reduce_starts,
-                fresh.right_layout.reduce_starts,
-            )
-        finally:
-            attached.close()
-            handle.unlink()
-
-    def test_solve_on_attached_instance_bit_identical(self, instance):
-        handle = SharedInstance.publish(instance)
-        attached = attach_instance(handle.descriptor)
-        try:
-            a = AllocationSession(instance).solve(SolveRequest(seed=5))
-            b = AllocationSession(attached.instance).solve(SolveRequest(seed=5))
-            assert np.array_equal(a.edge_mask, b.edge_mask)
-            assert a.mpc.local_rounds == b.mpc.local_rounds
-            assert np.array_equal(a.mpc.final_exponents, b.mpc.final_exponents)
-        finally:
-            attached.close()
-            handle.unlink()
-
-    def test_exponent_segment_versioning(self, instance):
-        handle = SharedInstance.publish(instance)
-        attached = attach_instance(handle.descriptor)
-        try:
-            assert attached.load_exponents() is None
-            assert handle.exponents() == (0, None)
-            vec = np.arange(instance.n_right, dtype=np.int64)
-            attached.store_exponents(vec)
-            assert np.array_equal(attached.load_exponents(), vec)
-            version, owner_view = handle.exponents()
-            assert version == 1
-            assert np.array_equal(owner_view, vec)
-            attached.store_exponents(vec + 1)
-            assert handle.exponents()[0] == 2
-            with pytest.raises(ValueError):
-                attached.store_exponents(np.zeros(3, dtype=np.int64))
-        finally:
-            attached.close()
-            handle.unlink()
-
-    def test_half_written_commit_detected_previous_version_used(self, instance):
-        """Regression: a writer dying mid-commit must not lose warmth.
-
-        The exponent segment's two-slot commit protocol writes a
-        ``begin_seq`` marker, then the vector into the *inactive* slot,
-        then the ``committed_seq``.  Death between ``begin`` and
-        ``commit`` therefore leaves the committed slot untouched:
-        readers must report the tear and return the previous committed
-        vector — the fleet rebuild re-primes from real warm state
-        instead of silently adopting garbage or falling back cold.
-        """
-        from repro.serve.shm import EXP_HEADER_WORDS
-
-        handle = SharedInstance.publish(instance)
-        attached = attach_instance(handle.descriptor)
-        try:
-            committed = np.arange(instance.n_right, dtype=np.int64)
-            attached.store_exponents(committed)
-            assert attached.commit_info() == {
-                "committed": 1, "begin": 1, "torn": False,
-            }
-
-            # Simulate the writer dying mid-commit of version 2: begin
-            # marker written, half the vector scribbled into slot
-            # 2 % 2 == 0, commit word never written.
-            buf = attached._exp_shm.buf
-            header = np.ndarray((EXP_HEADER_WORDS,), dtype=np.int64, buffer=buf)
-            header[1] = 2
-            torn_slot = np.ndarray(
-                (instance.n_right,), dtype=np.int64, buffer=buf,
-                offset=8 * EXP_HEADER_WORDS,
-            )
-            torn_slot[: instance.n_right // 2] = -999
-
-            info = attached.commit_info()
-            assert info["torn"] is True and info["committed"] == 1
-            # Both the attaching reader and the owner still see the
-            # previous committed vector, bit-exact.
-            assert np.array_equal(attached.load_exponents(), committed)
-            version, owner_view = handle.exponents()
-            assert version == 1
-            assert np.array_equal(owner_view, committed)
-
-            # A subsequent successful store supersedes the tear: the
-            # writer restarts the commit at the next sequence.
-            attached.store_exponents(committed + 5)
-            assert attached.commit_info()["torn"] is False
-            assert np.array_equal(attached.load_exponents(), committed + 5)
-        finally:
-            attached.close()
-            handle.unlink()
-
-    def test_unlink_is_idempotent_and_frees_segments(self, instance):
-        before = set(_leaked_segments())
-        handle = SharedInstance.publish(instance)
-        assert len(_leaked_segments()) == len(before) + 2
-        handle.unlink()
-        handle.unlink()
-        assert set(_leaked_segments()) == before
-
-
-# ----------------------------------------------------------------------
 # Process-boundary pickling (the silent prerequisite)
 # ----------------------------------------------------------------------
 class TestPickling:
@@ -291,6 +151,18 @@ class TestPickling:
         clone = pickle.loads(pickle.dumps(request))
         # same stream state: identical draws
         assert clone.seed.integers(1 << 30) == np.random.default_rng(3).integers(1 << 30)
+
+    def test_solved_instance_pickles_and_deepcopies(self, instance):
+        """A solve caches layouts and a workspace holding a
+        ``threading.local`` on the graph; the dispatcher ships such
+        instances to shard workers, so the caches must not travel."""
+        engine = Engine(boost=False, seed=4)
+        reference = engine.solve(instance).to_dict()
+        for clone in (
+            pickle.loads(pickle.dumps(instance)), copy.deepcopy(instance)
+        ):
+            assert instance_hash(clone) == instance_hash(instance)
+            assert engine.solve(clone).to_dict() == reference
 
 
 # ----------------------------------------------------------------------
@@ -362,6 +234,31 @@ class TestCrossExecutorDeterminism:
         }
         assert len(owners) == 2
 
+    def test_spawn_workers_match_thread_path(self, instance, other_instance):
+        """Under ``spawn`` the pool initializer, the tasks and every
+        payload must import and pickle, which ``fork`` partly hides."""
+        from repro.dynamic import SCENARIOS
+
+        instances = [instance, other_instance, instance, other_instance]
+        requests = _requests(4)
+        sessions = {id(i): AllocationSession(i) for i in (instance, other_instance)}
+        reference = _dicts(
+            AllocationReport.from_pipeline(r)
+            for r in solve_batch(
+                [sessions[id(i)] for i in instances], requests,
+                seed=13, max_workers=1,
+            )
+        )
+        deltas = SCENARIOS["diurnal_wave"](instance, 2, seed=5)
+        with ShardedExecutor(2, start_method="spawn") as executor:
+            reports = executor.run_batch(
+                instances, requests, seed=13, prime=False, timeout=120
+            )
+            remote = executor.run_replay(instance, deltas, seed=5, timeout=120)
+        assert _dicts(reports) == reference
+        stream = Engine(seed=5).stream(instance, deltas)
+        assert _dicts(remote.reports) == _dicts(stream.reports)
+
     def test_engine_batch_executor_parity(self, instance):
         requests = _requests(4)
         with Engine(seed=21) as engine:
@@ -407,36 +304,75 @@ class TestFleetLifecycle:
         with ShardedExecutor(1) as executor:
             executor.run_batch(instance, requests, seed=1)
             # kill the only worker between batches
-            executor._procs[0].terminate()
-            executor._procs[0].join(timeout=5.0)
+            _kill_worker(executor, 0)
             reports = executor.run_batch(instance, requests, seed=1)
             assert executor.restarts == 1
-        # the respawned worker primed from the shm exponent segment:
-        # same answers as an uninterrupted fleet's second batch
+        assert not multiprocessing.active_children()
+        # the replacement pool primed from the dispatcher's β: same
+        # answers as an uninterrupted fleet's second batch
         with ShardedExecutor(1) as executor:
             executor.run_batch(instance, requests, seed=1)
             uninterrupted = executor.run_batch(instance, requests, seed=1)
         assert _dicts(reports) == _dicts(uninterrupted)
         assert all(r.meta["warm_start"] for r in reports)
 
-    def test_worker_death_mid_batch_raises(self, instance):
+    def test_worker_killed_mid_batch_is_retried(
+        self, instance, other_instance, tmp_path, monkeypatch
+    ):
+        """One shard serves two tenants.  In the second batch its
+        worker finishes the first tenant's group, then dies inside the
+        second tenant's group after that session committed a solve.
+        Only the unfinished group re-runs, primed from the β the
+        dispatcher holds, and the batch equals an uninterrupted one."""
+        instances = [instance, other_instance] * 3
+        requests = _requests(6)
         with ShardedExecutor(1) as executor:
-            executor.run_batch(instance, _requests(1), seed=0)
-            executor._procs[0].terminate()
-            executor._procs[0].join(timeout=5.0)
-            # Freeze the pre-dispatch respawn so the death happens
-            # "mid-batch": collection must detect the dead shard with
-            # positions in flight instead of hanging.
-            real_ensure = executor._ensure_workers
-            executor._ensure_workers = lambda: None
-            try:
-                with pytest.raises(RuntimeError, match="died"):
-                    executor.run_batch(instance, _requests(2), seed=0, timeout=60)
-            finally:
-                executor._ensure_workers = real_ensure
-            # the next batch respawns the shard and serves normally
+            executor.run_batch(instances, requests, seed=5)
+            uninterrupted = executor.run_batch(instances, requests, seed=5)
+
+        armed, killed = tmp_path / "armed", tmp_path / "killed"
+        victim = instance_hash(other_instance)
+        solve_detached = AllocationSession.solve_detached
+
+        def die_once(session, *args, **kwargs):
+            if (
+                armed.exists() and not killed.exists()
+                and instance_hash(session.instance) == victim
+            ):
+                killed.touch()
+                os.kill(os.getpid(), signal.SIGKILL)
+            return solve_detached(session, *args, **kwargs)
+
+        # Patched before the pool forks its worker.
+        monkeypatch.setattr(AllocationSession, "solve_detached", die_once)
+        with ShardedExecutor(1) as executor:
+            executor.run_batch(instances, requests, seed=5)
+            armed.touch()
+            reports = executor.run_batch(instances, requests, seed=5)
+            assert killed.exists()
+            assert executor.restarts == 1
+        assert not multiprocessing.active_children()
+        assert _dicts(reports) == _dicts(uninterrupted)
+
+    def test_worker_death_mid_batch_raises(self, instance, monkeypatch):
+        """A request whose solve kills its worker on every attempt: the
+        pool is replaced and the group re-run once, then the batch
+        raises naming the shard."""
+
+        def die(session, *args, **kwargs):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        # Patched before the pool forks its worker.
+        monkeypatch.setattr(AllocationSession, "solve", die)
+        with ShardedExecutor(1) as executor:
+            with pytest.raises(RuntimeError, match="shard worker 0 died"):
+                executor.run_batch(instance, _requests(2), seed=0, timeout=60)
+            assert executor.restarts == 2
+            # the next batch forks a fresh worker and serves normally
+            monkeypatch.undo()
             reports = executor.run_batch(instance, _requests(2), seed=0)
             assert all(r.certified for r in reports)
+        assert not multiprocessing.active_children()
 
     def test_worker_exception_propagates(self, instance):
         bad = SolveRequest(capacity_updates={instance.n_right + 99: 1})
@@ -447,31 +383,24 @@ class TestFleetLifecycle:
             ok = executor.run_batch(instance, _requests(1), seed=0)
         assert ok[0].certified
 
-    def test_close_unlinks_segments_and_stops_workers(self, instance):
-        before = set(_leaked_segments())
+    def test_close_stops_workers(self, instance):
         executor = ShardedExecutor(2)
         executor.run_batch(instance, _requests(2), seed=0)
-        procs = [p for p in executor._procs if p is not None]
-        assert len(_leaked_segments()) > len(before)
+        assert multiprocessing.active_children()
         executor.close()
         executor.close()  # idempotent
-        assert set(_leaked_segments()) == before
-        deadline = time.monotonic() + 10
-        while any(p.is_alive() for p in procs) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert not any(p.is_alive() for p in procs)
+        assert not multiprocessing.active_children()
         with pytest.raises(RuntimeError, match="closed"):
             executor.run_batch(instance, _requests(1), seed=0)
 
     def test_engine_close_shuts_fleet_down(self, instance):
-        before = set(_leaked_segments())
         engine = Engine(seed=2).activate()
         engine.batch(instance, _requests(2), executor="process", workers=2)
         fleet = engine._fleet
         assert fleet is not None
         engine.close()
         assert engine._fleet is None
-        assert set(_leaked_segments()) == before
+        assert not multiprocessing.active_children()
         assert fleet._closed
 
     def test_process_executor_rejects_sessions(self, instance):
