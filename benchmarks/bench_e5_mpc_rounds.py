@@ -3,15 +3,15 @@
 The pytest path runs the registered E5 experiment once under the
 benchmark timer.  Run this module as a script (mirroring
 ``bench_kernels.py``) to record the faithful-vs-simulate round ledger
-at the larger faithful scales the columnar substrate unlocks, writing
+at the larger faithful scales the columnar cluster unlocks, writing
 ``BENCH_e5_mpc_rounds.json`` at the repo root::
 
     PYTHONPATH=src python benchmarks/bench_e5_mpc_rounds.py [--scale full]
 
 For each instance the JSON holds both modes' per-category round
 ledgers (they must agree — faithful mode *executes* the schedule that
-simulate mode charges), the peak per-machine words against the
-``S``-word budget, and the substrate that ran the faithful rows.
+simulate mode charges) and the peak per-machine words against the
+``S``-word budget.
 """
 
 from __future__ import annotations
@@ -77,7 +77,6 @@ def run_round_ledger_benchmarks(scale: str) -> dict:
 
     from repro.core.mpc_driver import solve_allocation_mpc
     from repro.graphs.generators import union_of_forests
-    from repro.mpc.substrate import get_substrate
 
     rows = []
     for n, slack in _FAITHFUL_SIZES[scale]:
@@ -143,7 +142,6 @@ def run_round_ledger_benchmarks(scale: str) -> dict:
     return {
         "benchmark": "E5 faithful-vs-simulate round ledgers",
         "scale": scale,
-        "substrate": get_substrate(),
         "epsilon": EPSILON,
         "alpha": ALPHA,
         "instances": rows,

@@ -3,7 +3,7 @@
 The faithful driver enforces ``S = O(n^α)`` words per machine
 strictly; a fixed per-round sample budget therefore caps the largest
 instance that *completes* — one skewed phase over ``S`` raises
-:class:`~repro.mpc.machine.SpaceViolation` and kills the run.  The
+:class:`~repro.mpc.SpaceViolation` and kills the run.  The
 adaptive policy (DESIGN.md §13) throttles the budget per phase against
 a safety fraction of ``S`` instead, so the same cap budget should push
 the "largest runnable n" frontier out by a multiple.
@@ -24,9 +24,8 @@ The bar, declared in ``BARS``: the adaptive arm must complete at
 ``_FRONTIER_THRESHOLD`` times the largest violation-free fixed-budget
 n.  Every adaptive run must also pass the driver's certificate
 crosscheck (the Theorem-2 certificate computed over the accounted
-cluster equals the host-side recomputation), and one size is re-run
-on both substrates with bit-identical allocations — a frontier
-reached by a wrong answer is worthless.  Adaptive peak
+cluster equals the host-side recomputation) — a frontier reached by a
+wrong answer is worthless.  Adaptive peak
 machine words are additionally recorded against n so the tests can
 assert they grow *sublinearly* (the throttle keeps load near the
 safety band instead of tracking instance size).
@@ -60,7 +59,7 @@ if not __package__:  # invoked as a script: self-contained path setup
 from benchmarks._scale import Bar, bench_scale, bench_script_main, cpu_info
 from repro.core.mpc_driver import solve_allocation_mpc
 from repro.graphs.generators import skew_frontier_instance
-from repro.mpc.machine import SpaceViolation
+from repro.mpc import SpaceViolation
 
 _EPS = 0.2
 _ALPHA = 0.5
@@ -86,7 +85,7 @@ _ADAPTIVE_NS = {
 }
 
 
-def _solve(instance, *, policy: str, substrate=None):
+def _solve(instance, *, policy: str):
     """One faithful solve at the shared absolute S and budget cap."""
     nv = instance.graph.n_vertices
     kwargs = dict(
@@ -97,8 +96,6 @@ def _solve(instance, *, policy: str, substrate=None):
     )
     if policy == "adaptive":
         kwargs["safety_fraction"] = _SAFETY
-    if substrate is not None:
-        kwargs["substrate"] = substrate
     return solve_allocation_mpc(instance, _EPS, **kwargs)
 
 
@@ -157,26 +154,6 @@ def _run_adaptive(n: int) -> tuple[dict, object]:
     return row, result
 
 
-def _crosscheck_substrates(n: int) -> dict:
-    """Re-run one adaptive size on both substrates; bit-compare."""
-    instance = skew_frontier_instance(n, seed=_SEED)
-    res_o = _solve(instance, policy="adaptive", substrate="object")
-    res_c = _solve(instance, policy="adaptive", substrate="columnar")
-    identical = (
-        np.array_equal(res_o.allocation.x, res_c.allocation.x)
-        and res_o.ledger.by_category == res_c.ledger.by_category
-        and res_o.ledger.trajectory == res_c.ledger.trajectory
-        and res_o.certificate == res_c.certificate
-    )
-    if not identical:  # must survive python -O
-        raise RuntimeError(
-            f"adaptive substrate parity violated on n={n}: "
-            "refusing to record the frontier"
-        )
-    return {"n_left": n, "substrates": ["object", "columnar"],
-            "bit_identical": True}
-
-
 def run_adaptive_benchmarks(scale: str) -> dict:
     fixed_rows = [_run_fixed(n) for n in _FIXED_NS]
     completed = [r["n_left"] for r in fixed_rows if r["completed"]]
@@ -202,7 +179,6 @@ def run_adaptive_benchmarks(scale: str) -> dict:
     slope = float(np.polyfit(xs, ys, 1)[0]) if len(xs) >= 2 else 0.0
 
     certificates_ok = all(r["certificate_crosscheck"] for r in adaptive_rows)
-    crosscheck = _crosscheck_substrates(_ADAPTIVE_NS[scale][0])
 
     frontier_ratio = largest_adaptive_n / largest_fixed_n
     met = frontier_ratio >= _FRONTIER_THRESHOLD and certificates_ok
@@ -229,8 +205,7 @@ def run_adaptive_benchmarks(scale: str) -> dict:
         "frontier_ratio": round(frontier_ratio, 3),
         "adaptive_peak_words_slope": round(slope, 4),
         "adaptive_peaks_sublinear": slope < 1.0,
-        "certificates_bit_checked": certificates_ok and crosscheck["bit_identical"],
-        "substrate_crosscheck": crosscheck,
+        "certificates_bit_checked": certificates_ok,
         "cpu": cpu_info(),
     }
 

@@ -8,9 +8,7 @@ accounted cluster whose machines hold S = O(n^α) words.  The printed
 ledger is the raw material of experiment E5.
 
 Also demonstrates that simulate mode reproduces the faithful run
-bit-for-bit when both use the keyed sampler with one seed, and that
-the two cluster substrates (object reference vs columnar, DESIGN.md
-§7) produce identical ledgers and allocations.
+bit-for-bit when both use the keyed sampler with one seed.
 
 Run:  python examples/mpc_cluster_demo.py
 """
@@ -21,7 +19,6 @@ import numpy as np
 
 from repro.core.mpc_driver import solve_allocation_mpc
 from repro.graphs.generators import union_of_forests
-from repro.mpc.substrate import get_substrate
 
 
 def main() -> None:
@@ -55,20 +52,6 @@ def main() -> None:
     print("\n[cross-mode check]")
     print(f"  simulate-mode output identical to faithful run: {identical}")
     print(f"  match weight: {faithful.match_weight:.3f}")
-
-    # The faithful run above used the active substrate (columnar by
-    # default); the object reference substrate must agree exactly.
-    other = "object" if get_substrate() == "columnar" else "columnar"
-    reference = solve_allocation_mpc(
-        instance, eps, lam=2, mode="faithful", seed=99,
-        sample_budget=6, space_slack=512.0, substrate=other,
-    )
-    print("\n[cross-substrate check]")
-    print(f"  active substrate        : {get_substrate()}")
-    print(f"  {other} ledger identical : "
-          f"{reference.ledger.by_category == faithful.ledger.by_category}")
-    print(f"  allocations bit-identical: "
-          f"{np.array_equal(reference.allocation.x, faithful.allocation.x)}")
 
 
 if __name__ == "__main__":

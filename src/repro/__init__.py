@@ -4,10 +4,8 @@ Allocation in Uniformly Sparse Graphs" (SPAA 2025, arXiv:2506.04524).
 The supported entry point is the :mod:`repro.api` Engine façade —
 :class:`Engine` bound to a :class:`SolverConfig`, returning
 :class:`AllocationReport` results — re-exported here.  The config is
-the only selector of the kernel backend, the MPC substrate and the
-pipeline knobs; new backends and substrates register with
-:func:`repro.kernels.register_backend` /
-:func:`repro.mpc.register_substrate`.
+the only selector of the kernel backend and the pipeline knobs; new
+backends register with :func:`repro.kernels.register_backend`.
 
 Subpackages
 -----------
@@ -17,12 +15,10 @@ Subpackages
     cold, warm, MPC and dynamic paths (DESIGN.md §10).
 ``repro.graphs``
     Bipartite graph substrate, workload generators, arboricity tools.
-``repro.local``
-    LOCAL model simulator (synchronous message passing).
 ``repro.mpc``
-    MPC model simulator: machines, space accounting, primitives,
-    graph exponentiation, round cost model, pluggable substrates
-    (object / columnar, DESIGN.md §7).
+    MPC model simulator: the word-accounted columnar cluster
+    (DESIGN.md §7), primitives, graph exponentiation, round cost
+    model.
 ``repro.kernels``
     The unified kernel layer: segment primitives behind pluggable
     backends (reference / optimized / native, plus the size-dispatching
@@ -52,7 +48,7 @@ Subpackages
     deltas, and reproducible churn scenarios (DESIGN.md §9).
 """
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 from repro.graphs import AllocationInstance, BipartiteGraph, build_graph
 

@@ -3,9 +3,9 @@
 One typed config and one result schema across every solve path:
 
 * :class:`SolverConfig` — a frozen, validated configuration (ε,
-  kernel backend, MPC substrate, execution mode, seed policy, pipeline
-  knobs) with a versioned JSON round trip; the only way to select a
-  backend, a substrate or a pipeline.
+  kernel backend, execution mode, seed policy, pipeline knobs) with a
+  versioned JSON round trip; the only way to select a backend or a
+  pipeline.
 * :class:`Engine` — context-manager lifecycle over the config:
   ``solve`` (cold pipeline), ``solve_mpc`` (fractional Theorem 3),
   ``open_session`` (warm resident serving), ``open_dynamic``
@@ -16,9 +16,8 @@ One typed config and one result schema across every solve path:
   (allocation, certificate, stage records, round ledger) and a
   versioned ``to_json`` / ``from_json`` schema.
 
-Backends and substrates register in their own packages
-(:func:`repro.kernels.register_backend`,
-:func:`repro.mpc.register_substrate`); the config checks its names
+Kernel backends register in their own package
+(:func:`repro.kernels.register_backend`); the config checks its names
 against them.
 
 Cold-path outputs are bit-identical to the historical entry points

@@ -1,11 +1,11 @@
 """The one typed solver configuration (DESIGN.md §10).
 
 :class:`SolverConfig` is the only way to select *how* to solve:
-approximation target, kernel backend, MPC substrate, execution mode,
-seed policy, and the knobs of the paper's fixed pipeline.  It is a
-frozen dataclass, validated eagerly against the registered backends
-and substrates, and JSON round-trippable under a versioned schema so
-configurations travel with results.
+approximation target, kernel backend, execution mode, seed policy,
+and the knobs of the paper's fixed pipeline.  It is a frozen
+dataclass, validated eagerly against the registered backends, and
+JSON round-trippable under a versioned schema so configurations travel
+with results.
 
 Every field has the historical default, so ``SolverConfig()`` behaves
 exactly like the bare entry points — the cold-path parity tests in
@@ -22,12 +22,11 @@ from typing import Any, Mapping, Optional
 import numpy as np
 
 from repro.kernels.backends import available_backends, backend_availability
-from repro.mpc.substrate import available_substrates
 from repro.utils.validation import check_fraction, check_positive_int
 
 __all__ = ["CONFIG_SCHEMA", "SolverConfig"]
 
-CONFIG_SCHEMA = "repro.api/SolverConfig/v2"
+CONFIG_SCHEMA = "repro.api/SolverConfig/v3"
 
 _MODES = ("simulate", "faithful")
 _BUDGET_POLICIES = ("fixed", "adaptive")
@@ -51,10 +50,6 @@ class SolverConfig:
         Kernel backend name (one of
         :func:`repro.kernels.available_backends`); ``None`` leaves the
         process-active backend untouched.
-    substrate:
-        Faithful-mode MPC substrate name (one of
-        :func:`repro.mpc.available_substrates`); ``None`` leaves the
-        active substrate untouched.
     mode:
         Fractional-solve validation mode: ``"simulate"`` (the scale
         path) or ``"faithful"`` (every communication step executed on
@@ -93,7 +88,6 @@ class SolverConfig:
 
     epsilon: float = 0.2
     backend: Optional[str] = None
-    substrate: Optional[str] = None
     mode: str = "simulate"
     mpc_budget_policy: str = "fixed"
     mpc_safety_fraction: float = 0.8
@@ -129,11 +123,6 @@ class SolverConfig:
                     f"kernel backend {self.backend!r} is registered but "
                     f"unavailable on this host: {reason}"
                 )
-        if self.substrate is not None and self.substrate not in available_substrates():
-            raise ValueError(
-                f"unknown MPC substrate {self.substrate!r}; "
-                f"available: {available_substrates()}"
-            )
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {list(_MODES)}, got {self.mode!r}")
         if self.mpc_budget_policy not in _BUDGET_POLICIES:
@@ -208,8 +197,6 @@ class SolverConfig:
         options: dict[str, Any] = {}
         if self.mode != "simulate":
             options["mode"] = self.mode
-        if self.substrate is not None:
-            options["substrate"] = self.substrate
         if self.mpc_budget_policy != "fixed":
             options["budget_policy"] = self.mpc_budget_policy
             options["safety_fraction"] = self.mpc_safety_fraction

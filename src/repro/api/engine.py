@@ -20,11 +20,11 @@ the repository's five serving shapes behind one surface (DESIGN.md
                            (:func:`repro.serve.replay_stream`)
 ========================  ============================================
 
-Lifecycle: the engine applies its config's kernel backend and MPC
-substrate *scoped*.  ``with Engine(config) as engine: ...`` installs
-them on entry and restores the previous selection on exit; outside a
-``with`` block each call applies and restores them around itself.
-:meth:`activate` installs them process-wide without a paired restore —
+Lifecycle: the engine applies its config's kernel backend *scoped*.
+``with Engine(config) as engine: ...`` installs it on entry and
+restores the previous selection on exit; outside a ``with`` block each
+call applies and restores it around itself.
+:meth:`activate` installs it process-wide without a paired restore —
 the CLI's historical semantics.
 
 Parity contract (asserted in ``tests/test_api.py`` and CI): on the
@@ -51,7 +51,6 @@ from repro.core.pipeline import solve_allocation
 from repro.dynamic.session import DynamicSession
 from repro.graphs.instances import AllocationInstance
 from repro.kernels.backends import _install_backend
-from repro.mpc.substrate import _install_substrate
 from repro.serve.session import AllocationSession, SolveRequest
 
 __all__ = ["Engine", "StreamResult"]
@@ -118,35 +117,31 @@ class Engine:
 
     # -- lifecycle -------------------------------------------------------
     def activate(self) -> "Engine":
-        """Install the config's backend/substrate process-globally.
+        """Install the config's kernel backend process-globally.
 
         Idempotent.  Pair with :meth:`close` (or use the engine as a
         context manager) to restore the previous selection; leave
         unpaired for the install-and-forget CLI shape.
         """
         if self._restore is None:
-            prev_backend = prev_substrate = None
+            prev_backend = None
             if self.config.backend is not None:
                 prev_backend = _install_backend(self.config.backend)
-            if self.config.substrate is not None:
-                prev_substrate = _install_substrate(self.config.substrate)
-            self._restore = (prev_backend, prev_substrate)
+            self._restore = (prev_backend,)
         return self
 
     def close(self) -> None:
-        """Restore the backend/substrate active before :meth:`activate`,
+        """Restore the backend active before :meth:`activate`,
         and shut down the resident shard fleet, joining every worker
         process."""
         if self._fleet is not None:
             fleet, self._fleet = self._fleet, None
             fleet.close()
         if self._restore is not None:
-            prev_backend, prev_substrate = self._restore
+            (prev_backend,) = self._restore
             self._restore = None
             if prev_backend is not None:
                 _install_backend(prev_backend)
-            if prev_substrate is not None:
-                _install_substrate(prev_substrate)
 
     def __enter__(self) -> "Engine":
         return self.activate()
@@ -157,8 +152,8 @@ class Engine:
 
     @contextmanager
     def _scoped(self):
-        """Backend/substrate applied for one call (no-op when the
-        engine is already activated)."""
+        """Backend applied for one call (no-op when the engine is
+        already activated)."""
         if self._restore is not None:
             yield
             return
@@ -230,11 +225,10 @@ class Engine:
         **mpc_kwargs: Any,
     ) -> AllocationReport:
         """Fractional Theorem-3 solve (the config's ``mode`` selects
-        simulate vs faithful execution; ``substrate`` the faithful
-        cluster representation).  Extra keywords forward to
+        simulate vs faithful execution).  Extra keywords forward to
         :func:`~repro.core.mpc_driver.solve_allocation_mpc`, winning
         over the config's value for config-backed parameters
-        (``mode``, ``substrate``, ``alpha``, ``lam``,
+        (``mode``, ``alpha``, ``lam``,
         ``budget_policy``, ``safety_fraction``).
         Bit-identical to the direct call on the same config."""
         if seed is None:
@@ -243,7 +237,6 @@ class Engine:
             "alpha": self.config.alpha,
             "lam": self.config.lam,
             "mode": self.config.mode,
-            "substrate": self.config.substrate,
             "budget_policy": self.config.mpc_budget_policy,
             "safety_fraction": self.config.mpc_safety_fraction,
             "initial_exponents": initial_exponents,

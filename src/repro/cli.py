@@ -26,10 +26,10 @@ statistics including the measured degeneracy.
 Every subcommand routes through the :class:`repro.api.Engine` façade:
 the flags of ``solve``, ``batch`` and ``dynamic`` — ``--epsilon``,
 ``--seed``, ``--no-boost``, ``--backend`` (kernel backend, DESIGN.md
-§6) and ``--substrate`` (faithful-mode MPC substrate, DESIGN.md §7) —
-build one :class:`repro.api.SolverConfig`, and the engine built from
-it owns the run.  ``--backend``/``--substrate`` are installed
-process-wide for the invocation (``Engine.activate``).
+§6) and the ``--mpc-*`` execution flags — build one
+:class:`repro.api.SolverConfig`, and the engine built from it owns the
+run.  ``--backend`` is installed process-wide for the invocation
+(``Engine.activate``).
 """
 
 from __future__ import annotations
@@ -67,24 +67,21 @@ def _engine_from_args(args: argparse.Namespace, *, session_prefix: str = ""):
     subcommand's flags; ``None`` (after printing to stderr) on invalid
     input.
 
-    Validation is reported in two historical voices: bad engine-
-    selection names (``--backend``/``--substrate``) print the config
-    error as-is, while a bad session parameter (``--epsilon``) is
-    prefixed with ``session_prefix`` so a flag problem is reported as
-    one.  ``activate()`` (no paired restore) preserves the old
+    Validation is reported in two historical voices: a bad engine-
+    selection name (``--backend``) prints the config error as-is,
+    while a bad session parameter (``--epsilon``) is prefixed with
+    ``session_prefix`` so a flag problem is reported as one.
+    ``activate()`` (no paired restore) preserves the old
     install-process-wide flag semantics.
     """
     from repro.api import Engine, SolverConfig
     from repro.kernels import available_backends
-    from repro.mpc import available_substrates
 
     backend = getattr(args, "backend", None)
-    substrate = getattr(args, "substrate", None)
     try:
         config = SolverConfig(
             epsilon=args.epsilon,
             backend=backend,
-            substrate=substrate,
             mode=getattr(args, "mpc_mode", None) or "simulate",
             mpc_budget_policy=getattr(args, "mpc_budget_policy", None) or "fixed",
             mpc_safety_fraction=(
@@ -96,17 +93,11 @@ def _engine_from_args(args: argparse.Namespace, *, session_prefix: str = ""):
             seed=args.seed,
         )
     except ValueError as exc:
-        bad_engine_name = (
-            backend is not None
-            and (
-                backend not in available_backends()
-                # registered but unusable on this host (e.g. "native"
-                # without a C compiler) is an engine-selection problem
-                or "unavailable on this host" in str(exc)
-            )
-        ) or (
-            substrate is not None
-            and substrate not in available_substrates()
+        bad_engine_name = backend is not None and (
+            backend not in available_backends()
+            # registered but unusable on this host (e.g. "native"
+            # without a C compiler) is an engine-selection problem
+            or "unavailable on this host" in str(exc)
         )
         prefix = "" if bad_engine_name else session_prefix
         print(f"{prefix}{exc}", file=sys.stderr)
@@ -134,10 +125,6 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         "needs a C compiler; auto picks optimized below the measured "
         "native crossover and native above it; see "
         "repro.kernels.backend_availability)",
-    )
-    parser.add_argument(
-        "--substrate", default=None,
-        help="faithful-mode MPC substrate (object|columnar)",
     )
     parser.add_argument(
         "--mpc-mode", default=None, dest="mpc_mode",

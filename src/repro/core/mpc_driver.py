@@ -18,9 +18,10 @@ Two execution modes (DESIGN.md §5):
   same per-phase schedule the faithful mode actually executes.  This
   is the scale path.
 * ``mode="faithful"`` — every communication step additionally runs on
-  an accounted :class:`MPCCluster`: the phase's sampled edges are
-  distributed, balls of radius B are collected by real graph
-  exponentiation, and the termination test runs as route+reduce.
+  the accounted :class:`~repro.mpc.ColumnarCluster`: the phase's
+  sampled edges are distributed, balls of radius B are collected by
+  real graph exponentiation, and the termination test runs as
+  route+reduce.
   Space budgets (``S = O(n^α)`` words) are enforced; the numeric
   trajectory is produced by the same keyed sampler, so the two modes
   return bit-identical allocations for one seed.
@@ -50,23 +51,13 @@ from repro.core.termination import CertificateStatus, neighbors_of_right_set
 from repro.graphs.instances import AllocationInstance
 from repro.kernels import RoundWorkspace, workspace_for
 from repro.mpc.adaptive import AdaptiveBudgetController
-from repro.mpc.cluster import MPCCluster, cluster_for
-from repro.mpc.columnar import ColumnarCluster
+from repro.mpc.columnar import ColumnarCluster, SpaceViolation, cluster_for
 from repro.mpc.columns import ColumnBatch
 from repro.mpc.exponentiation import ball_record_words, collect_balls
-from repro.mpc.machine import SpaceViolation
-from repro.mpc.primitives import route_by_key, tree_reduce, tree_reduce_vector
+from repro.mpc.primitives import route_by_key, tree_reduce_vector
 from repro.utils.validation import check_fraction
 
 __all__ = ["MPCRoundLedger", "MPCResult", "solve_allocation_mpc"]
-
-
-def _active_substrate(substrate: Optional[str]) -> str:
-    if substrate is not None:
-        return substrate
-    from repro.mpc.substrate import get_substrate
-
-    return get_substrate()
 
 
 @dataclass
@@ -232,7 +223,7 @@ def _category_words_moved(cluster, log_start: int) -> dict[str, int]:
 
 def _faithful_phase(
     run: SampledRun,
-    cluster: MPCCluster | ColumnarCluster,
+    cluster: ColumnarCluster,
     rounds_in_phase: int,
     ledger: MPCRoundLedger,
 ) -> dict[str, Any]:
@@ -240,8 +231,7 @@ def _faithful_phase(
 
     Builds the union sampled graph (:func:`_phase_sampled_edges`) and
     collects radius-``2B`` balls by graph exponentiation with full
-    space accounting.  Record construction dispatches on the substrate
-    (DESIGN.md §7); the round schedule and word charges are identical.
+    space accounting.
 
     Returns the phase's distributional load metrics — ball payload
     percentiles, per-category words moved, and routing skew — which the
@@ -249,7 +239,6 @@ def _faithful_phase(
     """
     g = run.graph
     pairs = _phase_sampled_edges(run, rounds_in_phase)
-    columnar = isinstance(cluster, ColumnarCluster)
     log_start = len(cluster.round_log)
     skews: list[float] = []
 
@@ -261,17 +250,10 @@ def _faithful_phase(
 
     # Level grouping round: co-locate each vertex's incident sampled
     # edges (the grouping information) by vertex id.
-    if columnar:
-        cluster.load_batches(
-            [ColumnBatch("sedge", {"a": pairs[:, 0], "b": pairs[:, 1]}, key="a")]
-        )
-        hist = route_by_key(cluster, label="grouping", return_histogram=True)
-    else:
-        cluster.load([("sedge", int(a), int(b)) for a, b in pairs])
-        hist = route_by_key(
-            cluster, key_fn=lambda rec: rec[1], label="grouping",
-            return_histogram=True,
-        )
+    cluster.load_batches(
+        [ColumnBatch("sedge", {"a": pairs[:, 0], "b": pairs[:, 1]}, key="a")]
+    )
+    hist = route_by_key(cluster, label="grouping", return_histogram=True)
     ledger.record_routing(hist)
     note_skew(hist)
     ledger.charge("grouping", 1)
@@ -299,26 +281,19 @@ def _faithful_phase(
                 )
             )
     # Write-back of updated β values: one routing round.
-    if columnar:
-        cluster.load_batches(
-            [
-                ColumnBatch(
-                    "beta",
-                    {
-                        "v": np.arange(g.n_right, dtype=np.int64),
-                        "b": run.beta_exp.astype(np.int64),
-                    },
-                    key="v",
-                )
-            ]
-        )
-        hist = route_by_key(cluster, label="writeback", return_histogram=True)
-    else:
-        cluster.load([("beta", int(v), int(run.beta_exp[v])) for v in range(g.n_right)])
-        hist = route_by_key(
-            cluster, key_fn=lambda rec: rec[1], label="writeback",
-            return_histogram=True,
-        )
+    cluster.load_batches(
+        [
+            ColumnBatch(
+                "beta",
+                {
+                    "v": np.arange(g.n_right, dtype=np.int64),
+                    "b": run.beta_exp.astype(np.int64),
+                },
+                key="v",
+            )
+        ]
+    )
+    hist = route_by_key(cluster, label="writeback", return_histogram=True)
     ledger.record_routing(hist)
     note_skew(hist)
     ledger.charge("writeback", 1)
@@ -344,72 +319,16 @@ def _faithful_phase(
 
 
 def _faithful_certificate_test(
-    run: SampledRun, cluster: MPCCluster | ColumnarCluster, ledger: MPCRoundLedger
+    run: SampledRun, cluster: ColumnarCluster, ledger: MPCRoundLedger
 ) -> CertificateStatus:
     """The O(1)-round termination test, executed with primitives.
 
     Round 1 routes (edge, is-top-endpoint) records by left vertex so
     each machine can mark its covered left vertices; a tree reduce then
-    folds (|N'|, |L₀|, Σ_{j≥1} alloc) to machine 0.  The columnar path
-    computes the per-machine partials vectorized (unique counts and
-    arrival-order ``bincount`` sums — the object fold's exact order)
-    and folds them with :func:`tree_reduce_vector`.
+    folds (|N'|, |L₀|, Σ_{j≥1} alloc) to machine 0.  The per-machine
+    partials are computed vectorized (unique counts and arrival-order
+    ``bincount`` sums) and folded with :func:`tree_reduce_vector`.
     """
-    if isinstance(cluster, ColumnarCluster):
-        return _faithful_certificate_test_columnar(run, cluster, ledger)
-    g = run.graph
-    top = run.top_level_mask()
-    bottom = run.bottom_level_mask()
-    records: list[tuple] = [
-        ("cedge", int(g.edge_u[e]), bool(top[g.edge_v[e]])) for e in range(g.n_edges)
-    ]
-    records.extend(
-        ("cvert", int(v), bool(bottom[v]), float(run.alloc[v]))
-        for v in range(g.n_right)
-    )
-    cluster.load(records)
-    ledger.record_routing(
-        route_by_key(
-            cluster, key_fn=lambda rec: rec[1], label="certificate/route",
-            return_histogram=True,
-        )
-    )
-    ledger.charge("termination_test", 1)
-
-    # Local dedup: covered left vertices per machine.
-    def extract(rec):
-        if rec[0] == "__covered__":
-            return (rec[1], 0, 0.0)
-        if rec[0] == "cvert":
-            return (0, 1 if rec[2] else 0, 0.0 if rec[2] else rec[3])
-        return None
-
-    for m in cluster.machines:
-        covered = {rec[1] for rec in m.storage if rec[0] == "cedge" and rec[2]}
-        m.store(("__covered__", len(covered)))
-
-    def combine(a, b):
-        return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-
-    (n_prime, l0_size, upper_mass), reduce_rounds = tree_reduce(
-        cluster, extract, combine, (0, 0, 0.0), label="certificate/reduce"
-    )
-    ledger.charge("termination_test", reduce_rounds)
-    return CertificateStatus(
-        rounds=run.rounds_completed,
-        n_prime=int(n_prime),
-        l0_size=int(l0_size),
-        top_size=int(top.sum()),
-        upper_mass=float(upper_mass),
-        small_frontier=n_prime <= l0_size,
-        mass_condition=upper_mass >= (1.0 - run.epsilon / 2.0) * n_prime,
-        epsilon=run.epsilon,
-    )
-
-
-def _faithful_certificate_test_columnar(
-    run: SampledRun, cluster: ColumnarCluster, ledger: MPCRoundLedger
-) -> CertificateStatus:
     g = run.graph
     top = run.top_level_mask()
     bottom = run.bottom_level_mask()
@@ -431,7 +350,7 @@ def _faithful_certificate_test_columnar(
         },
         key="v",
     )
-    cluster.load_batches([cedge, cvert])  # round-robin, like the flat list
+    cluster.load_batches([cedge, cvert])  # round-robin over the concatenation
     ledger.record_routing(
         route_by_key(cluster, label="certificate/route", return_histogram=True)
     )
@@ -452,8 +371,8 @@ def _faithful_certificate_test_columnar(
     )
 
     # Per-machine partials (|N'|, |L₀|, Σ alloc above L₀).  The mass
-    # bincount accumulates in row order = the object fold's storage
-    # scan order, so the float sums are bit-identical.
+    # bincount accumulates in row order, a machine's storage scan
+    # order.
     cvert, cvert_home = cluster.rows("cvert")
     isbot = cvert.cols["isbot"]
     partials = np.zeros((M, 3), dtype=np.float64)
@@ -499,7 +418,6 @@ def solve_allocation_mpc(
     block_override: Optional[int] = None,
     certificate_cadence: Literal["per_phase", "per_guess"] = "per_phase",
     workspace: Optional[RoundWorkspace] = None,
-    substrate: Optional[str] = None,
     initial_exponents: Optional[np.ndarray] = None,
 ) -> MPCResult:
     """Theorem 3: (2+O(ε))-approximate fractional allocation in MPC.
@@ -523,12 +441,6 @@ def solve_allocation_mpc(
     literal §3.2.2 schedule, which E6 uses to measure the guessing
     overhead the paper's analysis bounds).
 
-    ``substrate`` picks the faithful-mode cluster representation
-    (``"object"`` / ``"columnar"``, DESIGN.md §7); ``None`` defers to
-    the active substrate.  Both substrates produce identical round
-    ledgers and bit-identical allocations (the parity suite); columnar
-    is the scale path for faithful runs.
-
     ``initial_exponents`` warm-starts the dynamics from a retained β
     exponent vector instead of the cold ``b ≡ 0`` (DESIGN.md §8): the
     dynamics converge from any start and the λ-free certificate is
@@ -543,7 +455,7 @@ def solve_allocation_mpc(
     under ``safety_fraction·S``, ramping when headroom exists and
     throttling — or discarding the attempt and retrying halved, via
     the fresh-cluster-per-phase protocol — before a
-    :class:`~repro.mpc.machine.SpaceViolation` kills the run.  The
+    :class:`~repro.mpc.SpaceViolation` kills the run.  The
     allocation is still produced by the same keyed sampler and checked
     by the same faithful certificate; only the per-phase budgets
     differ from a fixed run.  Every decision lands in
@@ -592,7 +504,7 @@ def solve_allocation_mpc(
             workspace=workspace,
             initial_exponents=initial_exponents,
         )
-        cluster: Optional[MPCCluster | ColumnarCluster] = None
+        cluster: Optional[ColumnarCluster] = None
         controller: Optional[AdaptiveBudgetController] = None
         s_words: Optional[int] = None
         total_words = 3 * (graph.n_edges + graph.n_vertices) + 16
@@ -611,7 +523,7 @@ def solve_allocation_mpc(
             else:
                 cluster = cluster_for(
                     total_words, n_for_alpha=n, alpha=alpha, slack=space_slack,
-                    strict=True, substrate=substrate,
+                    strict=True,
                 )
         ledger.guesses.append(guess)
         schedule = _phase_round_schedule(block)
@@ -632,7 +544,7 @@ def solve_allocation_mpc(
                     run.sample_budget = budget
                     cluster = cluster_for(
                         total_words, n_for_alpha=n, alpha=alpha,
-                        slack=space_slack, strict=True, substrate=substrate,
+                        slack=space_slack, strict=True,
                     )
                     scratch = MPCRoundLedger()
                     try:
@@ -778,7 +690,6 @@ def solve_allocation_mpc(
         # phase's budget fell below the max degree and it sampled.
         "exact_regime": run.exact_rounds == run.rounds_completed,
         "block": run.block,
-        "substrate": _active_substrate(substrate) if mode == "faithful" else None,
         "warm_start": initial_exponents is not None,
         "budget_policy": budget_policy,
     }

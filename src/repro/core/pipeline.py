@@ -133,7 +133,7 @@ class FractionalStage:
     Consumes stream slot 0 and the context's ``initial_exponents``
     (the session warm-start path, DESIGN.md §8).  ``options`` forwards
     extra keyword arguments to :func:`solve_allocation_mpc` (mode,
-    substrate, sample budget, …).
+    sample budget, budget policy, …).
     """
 
     alpha: float = 0.5
@@ -418,7 +418,7 @@ def solve_allocation(
 
     ``rounding_copies`` overrides the number of §6 rounding copies
     (default O(log n)); ``mpc_options`` forwards extra keywords to
-    :func:`solve_allocation_mpc` (mode, substrate, budget policy).
+    :func:`solve_allocation_mpc` (mode, budget policy).
     ``workspace`` lets batched callers reuse the per-graph kernel
     workspace (see :func:`solve_allocation_many`);
     ``initial_exponents`` warm-starts the fractional dynamics (the

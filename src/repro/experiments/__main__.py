@@ -4,12 +4,12 @@ Examples::
 
     python -m repro.experiments e1
     python -m repro.experiments --exp e5 --scale full --seed 3
-    python -m repro.experiments e5 --backend reference --substrate object
+    python -m repro.experiments e5 --backend reference
     python -m repro.experiments all --scale smoke
     python -m repro.experiments --list
 
-``--backend`` / ``--substrate`` select the engine driving every solve
-(a :class:`repro.api.SolverConfig` activated for the run).
+``--backend`` selects the kernel backend driving every solve (a
+:class:`repro.api.SolverConfig` activated for the run).
 """
 
 from __future__ import annotations
@@ -48,19 +48,14 @@ def main(argv: list[str] | None = None) -> int:
         help="kernel backend driving every solve (one of "
              "repro.kernels.available_backends())",
     )
-    parser.add_argument(
-        "--substrate", default=None,
-        help="faithful-mode MPC substrate (one of "
-             "repro.mpc.available_substrates())",
-    )
     args = parser.parse_args(argv)
 
     config = None
-    if args.backend is not None or args.substrate is not None:
+    if args.backend is not None:
         from repro.api import SolverConfig
 
         try:
-            config = SolverConfig(backend=args.backend, substrate=args.substrate)
+            config = SolverConfig(backend=args.backend)
         except ValueError as exc:
             print(exc, file=sys.stderr)
             return 2

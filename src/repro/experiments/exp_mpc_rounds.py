@@ -33,7 +33,7 @@ _SIZES: dict[str, tuple[int, list[int]]] = {
     "full": (4, [2, 4, 8, 16, 32, 64, 128]),
 }
 
-# Faithful rows: (n, space_slack) per scale.  The columnar substrate
+# Faithful rows: (n, space_slack) per scale.  The columnar cluster
 # (DESIGN.md §7) makes cluster-accounted runs cheap enough to grow the
 # faithful instance with the scale; slack grows with ball volume so the
 # S-budget stays feasible.
@@ -96,10 +96,7 @@ def run(*, scale: Scale = "normal", seed: int = 0) -> Table:
             phases=res.ledger.phases,
         )
 
-    # Faithful rows: full cluster accounting, growing with the scale
-    # (the columnar substrate's payoff — see BENCH_mpc_substrate.json).
-    from repro.mpc.substrate import get_substrate
-
+    # Faithful rows: full cluster accounting, growing with the scale.
     for small_n, slack in _FAITHFUL_SIZES[scale]:
         inst = union_of_forests(small_n, small_n, 2, capacity=2, seed=seed)
         res = solve_allocation_mpc(
@@ -117,7 +114,6 @@ def run(*, scale: Scale = "normal", seed: int = 0) -> Table:
             peak_machine_words=res.ledger.peak_machine_words,
             machine_budget_words=s_words,
             space_violations=len(res.ledger.violations),
-            substrate=get_substrate(),
         )
 
         # Same instance under the adaptive budget policy (DESIGN.md
@@ -138,7 +134,6 @@ def run(*, scale: Scale = "normal", seed: int = 0) -> Table:
             peak_machine_words=adaptive.ledger.peak_machine_words,
             machine_budget_words=s_words,
             space_violations=len(adaptive.ledger.violations),
-            substrate=get_substrate(),
             budget_trajectory="->".join(str(r["sample_budget"]) for r in accepted),
             budget_decisions=",".join(
                 r["decision"] for r in adaptive.ledger.trajectory

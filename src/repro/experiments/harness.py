@@ -122,9 +122,9 @@ def run_experiment(
 
     ``config`` is the harness's driver selection: when given, the run
     executes inside an activated :class:`repro.api.Engine`, so the
-    config's kernel backend and MPC substrate drive every solve the
-    experiment performs.  The selection is recorded as a table note so
-    persisted results say which engine produced them.
+    config's kernel backend drives every solve the experiment
+    performs.  The selection is recorded as a table note so persisted
+    results say which engine produced them.
     """
     spec = get_experiment(exp_id)
     if config is None:
@@ -134,11 +134,8 @@ def run_experiment(
 
         with Engine(config):
             table = spec.run(scale=scale, seed=seed)
-        if config.backend is not None or config.substrate is not None:
-            table.add_note(
-                f"engine: backend={config.backend or 'active'} "
-                f"substrate={config.substrate or 'active'}"
-            )
+        if config.backend is not None:
+            table.add_note(f"engine: backend={config.backend}")
     table.add_note(f"claim: {spec.claim}")
     table.add_note(f"scale={scale} seed={seed}")
     return table

@@ -1,35 +1,25 @@
-"""MPC-model substrate: accounted machines, primitives, exponentiation.
+"""MPC-model simulator: the accounted cluster, primitives, exponentiation.
 
-:class:`MPCCluster` enforces the sublinear-regime constraints (``S``
-words per machine, ``S`` words sent/received per round) and keeps the
-round ledger that E5 compares against :class:`MPCCostModel`'s
+:class:`ColumnarCluster` enforces the sublinear-regime constraints
+(``S`` words per machine, ``S`` words sent/received per round) over
+typed column batches with dtype-based word pricing (DESIGN.md §7), and
+keeps the round ledger that E5 compares against :class:`MPCCostModel`'s
 closed-form predictions.
-
-Two substrates implement the accounting (DESIGN.md §7): the object
-reference (:class:`MPCCluster`, Python tuples) and the vectorized
-columnar cluster (:class:`ColumnarCluster`, typed column batches with
-dtype-based word pricing).  Selection mirrors the kernel backends:
-``repro.api.SolverConfig(substrate=...)`` or :func:`use_substrate`;
-both produce bit-identical ledgers and trajectories.
 """
 
-from repro.mpc.machine import Machine, SpaceViolation, sizeof_words
-from repro.mpc.cluster import MPCCluster, RoundLog, cluster_for
 from repro.mpc.columns import ColumnBatch, dtype_words, ragged_from_rows
-from repro.mpc.columnar import ColumnarCluster, Shipment
-from repro.mpc.substrate import (
-    available_substrates,
-    get_substrate,
-    make_cluster,
-    register_substrate,
-    use_substrate,
+from repro.mpc.columnar import (
+    ColumnarCluster,
+    RoundLog,
+    Shipment,
+    SpaceViolation,
+    cluster_for,
 )
 from repro.mpc.primitives import (
     fan_out,
     tree_depth,
     route_by_key,
     tree_broadcast,
-    tree_reduce,
     tree_reduce_vector,
     sample_sort,
 )
@@ -41,10 +31,7 @@ from repro.mpc.simulation import (
 )
 
 __all__ = [
-    "Machine",
     "SpaceViolation",
-    "sizeof_words",
-    "MPCCluster",
     "RoundLog",
     "cluster_for",
     "ColumnBatch",
@@ -52,16 +39,10 @@ __all__ = [
     "ragged_from_rows",
     "ColumnarCluster",
     "Shipment",
-    "available_substrates",
-    "get_substrate",
-    "make_cluster",
-    "register_substrate",
-    "use_substrate",
     "fan_out",
     "tree_depth",
     "route_by_key",
     "tree_broadcast",
-    "tree_reduce",
     "tree_reduce_vector",
     "sample_sort",
     "collect_balls",

@@ -2,7 +2,7 @@
 
 The faithful driver enforces the model's ``S = O(n^α)`` words budget
 strictly: one round whose peak machine load crosses ``S`` raises
-:class:`~repro.mpc.machine.SpaceViolation` and kills the run.  With a
+:class:`~repro.mpc.SpaceViolation` and kills the run.  With a
 *fixed* per-round sample budget that makes the largest runnable
 instance a guessing game — budgets generous enough to converge fast
 on small instances overflow machines on big or skewed ones, and
@@ -36,7 +36,7 @@ auditable per phase.  See DESIGN.md §13.
 Determinism: the controller is pure integer/float arithmetic over
 observed peaks — no RNG — and budgets only *cap* the keyed sampler's
 deterministic choice counts, so a (seed, schedule) pair fully
-determines the trajectory on either substrate.
+determines the trajectory.
 """
 
 from __future__ import annotations

@@ -1,54 +1,83 @@
-"""The columnar MPC cluster: vectorized exchange with dtype accounting.
+"""The accounted MPC cluster: vectorized exchange with dtype accounting.
 
-Functionally this is :class:`repro.mpc.cluster.MPCCluster` with the
-per-record Python substrate replaced by column batches (DESIGN.md §7):
-machine storage is a set of cluster-global :class:`ColumnBatch` arrays
-plus a ``home`` (machine id) column, exchanges are expressed as
-:class:`Shipment` lists whose traffic is priced with ``np.bincount``
-over dtype-derived word costs, and delivery is a stable partition by
-destination.  The model-level quantities — rounds, per-machine
-sent/received/stored words, budget checks, violation strings — are
-computed identically to the object substrate, so the two produce
-bit-identical :class:`RoundLog` ledgers for the same communication
-pattern (asserted by the parity suite).
+A :class:`ColumnarCluster` is a set of machines advancing in
+synchronous rounds (§2.3).  Machine storage is a set of
+cluster-global :class:`ColumnBatch` arrays plus a ``home`` (machine
+id) column (DESIGN.md §7); one round is an explicit :class:`Shipment`
+list whose traffic is priced with ``np.bincount`` over dtype-derived
+word costs, delivered by a stable partition by destination, and
+checked against the ``S`` words stored and sent per machine per
+round.  :func:`cluster_for` sizes a cluster for the sublinear regime.
 
-Row-order contract (what makes *numeric* parity exact, not just
-accounting parity): every kind's rows are kept machine-major, and
-within a machine in arrival order.  An exchange delivers each kind
-stable-sorted by destination, so a machine's new rows appear in
-``(source machine asc, emission order)`` — exactly the order the
-object substrate's staged delivery appends records.  Sequential NumPy
-accumulators (``bincount``/``reduceat``) over rows in this order
-therefore reproduce the object substrate's Python-loop folds
-bit-for-bit.
+The substitution argument (DESIGN.md §4): round counts and space usage
+are *model-level* quantities, so a simulator that enforces exactly the
+model's constraints measures exactly the quantities Theorem 3 bounds.
+
+Row-order contract (what makes numeric results reproducible from the
+communication pattern alone): every kind's rows are kept
+machine-major, and within a machine in arrival order.  An exchange
+delivers each kind stable-sorted by destination, so a machine's new
+rows appear in ``(source machine asc, emission order)``.  Sequential
+NumPy accumulators (``bincount``) over rows in this order are the
+left-folds a per-record machine would run, which is what the
+per-record parity oracle in ``tests/mpc_reference.py`` checks bit for
+bit (DESIGN.md §7.4).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro.mpc.cluster import (
-    RoundLog,
-    storage_violation_msg,
-    traffic_violation_msg,
-)
 from repro.mpc.columns import ColumnBatch
-from repro.mpc.machine import SpaceViolation
 from repro.utils.validation import check_positive_int
 
-__all__ = ["Shipment", "ColumnarCluster", "ColumnarMachineView"]
+__all__ = [
+    "SpaceViolation",
+    "RoundLog",
+    "storage_violation_msg",
+    "traffic_violation_msg",
+    "Shipment",
+    "ColumnarCluster",
+    "ColumnarMachineView",
+    "cluster_for",
+]
+
+
+class SpaceViolation(RuntimeError):
+    """A machine exceeded its word budget (storage or traffic)."""
+
+
+@dataclass(frozen=True)
+class RoundLog:
+    """Traffic summary of one executed round."""
+
+    round_index: int
+    label: str
+    total_words_moved: int
+    max_sent: int
+    max_received: int
+
+
+def storage_violation_msg(machine_id: int, stored: int, capacity: int) -> str:
+    """The storage-violation string a cluster records verbatim."""
+    return f"machine {machine_id}: stored {stored} > {capacity}"
+
+
+def traffic_violation_msg(machine_id: int, sent: int, capacity: int) -> str:
+    """The traffic-violation string a cluster records verbatim."""
+    return f"machine {machine_id}: sent {sent} > {capacity} in one round"
 
 
 @dataclass
 class Shipment:
     """Rows of one kind moving in one round: ``src[i] → dst[i]``.
 
-    Rows with ``src == dst`` persist in place and move no data (the
-    object substrate's self-emission); all others are priced against
-    both endpoints' per-round word budgets.
+    Rows with ``src == dst`` persist in place and move no data; all
+    others are priced against both endpoints' per-round word budgets.
     """
 
     batch: ColumnBatch
@@ -65,7 +94,8 @@ class Shipment:
 
 
 class ColumnarMachineView:
-    """Read-only per-machine counters (API parity with :class:`Machine`)."""
+    """Read-only counters of one machine (words stored, sent and
+    received this round, and their high-water marks)."""
 
     __slots__ = ("_cluster", "machine_id")
 
@@ -101,11 +131,10 @@ class ColumnarMachineView:
 class ColumnarCluster:
     """Synchronous machines over column batches, word-accounted.
 
-    The public accounting surface mirrors :class:`MPCCluster`
-    (``rounds_executed``, ``round_log``, ``violations``, per-machine
-    counters via :attr:`machines`); the data surface is columnar:
-    :meth:`load_batches`, :meth:`exchange_columnar`, and the store
-    accessors below.
+    The accounting surface is ``rounds_executed``, ``round_log``,
+    ``violations`` and per-machine counters via :attr:`machines`; the
+    data surface is :meth:`load_batches`, :meth:`exchange_columnar`,
+    and the store accessors below.
     """
 
     def __init__(
@@ -196,12 +225,12 @@ class ColumnarCluster:
         *,
         home: Optional[Sequence[np.ndarray]] = None,
     ) -> None:
-        """Place input batches (costs no rounds; mirrors ``load``).
+        """Place input batches (the model's arbitrary initial
+        partition; costs no rounds).
 
         ``home=None`` round-robins the *concatenated* record sequence
-        (``global index % M``), exactly like the object substrate's
-        default placement over a flat record list; otherwise ``home``
-        provides one machine-id array per batch.
+        (``global index % M``); otherwise ``home`` provides one
+        machine-id array per batch.
         """
         self._store = {}
         self._sent[:] = 0
@@ -219,8 +248,8 @@ class ColumnarCluster:
         self._check_storage()
 
     def append_rows(self, batch: ColumnBatch, home: np.ndarray) -> None:
-        """Host-side store of extra rows (mirrors ``Machine.store``;
-        no round, no budget check — checks run at the next exchange)."""
+        """Host-side store of extra rows (no round, no budget check —
+        checks run at the next exchange)."""
         self._append_kind(batch, np.asarray(home, dtype=np.int64))
         self._recount_storage()
 
@@ -238,8 +267,8 @@ class ColumnarCluster:
     def replace_kind(
         self, kind: str, batch: Optional[ColumnBatch], home: Optional[np.ndarray]
     ) -> None:
-        """Host-side rewrite of one kind (mirrors clear-and-restore
-        local merges; ``batch=None`` drops the kind)."""
+        """Host-side rewrite of one kind (a machine-local merge;
+        ``batch=None`` drops the kind)."""
         self._store.pop(kind, None)
         if batch is not None and batch.n_records:
             self._store[kind] = self._sorted_by_home(
@@ -259,8 +288,8 @@ class ColumnarCluster:
         Storage is *replaced* by the delivered rows (map semantics —
         kinds not re-shipped are dropped, persistence is a self-
         shipment, see :meth:`keep_all_shipments`), traffic is priced
-        per machine with ``bincount`` over word costs, and the same
-        budget checks as the object substrate run afterwards.
+        per machine with ``bincount`` over word costs, and the storage
+        and traffic budget checks run afterwards.
         """
         M = self._n_machines
         self._sent[:] = 0
@@ -321,3 +350,27 @@ class ColumnarCluster:
             self.violations.extend(problems)
             if self.strict:
                 raise SpaceViolation("; ".join(problems))
+
+
+def cluster_for(
+    total_words: int,
+    n_for_alpha: int,
+    alpha: float,
+    *,
+    slack: float = 4.0,
+    strict: bool = True,
+) -> ColumnarCluster:
+    """Build a cluster sized for the sublinear regime.
+
+    ``S = slack · n^α`` words per machine (the constant ``slack``
+    absorbs record framing, mirroring the O(·) in the theorem), and
+    enough machines that the aggregate capacity is ``2×`` the input —
+    the usual constant-factor headroom for shuffles.
+    """
+    if not (0.0 < alpha < 1.0):
+        raise ValueError(f"alpha must lie in (0,1), got {alpha}")
+    total_words = check_positive_int(total_words, "total_words")
+    n_for_alpha = check_positive_int(n_for_alpha, "n_for_alpha")
+    words = max(16, int(slack * n_for_alpha**alpha))
+    n_machines = max(1, math.ceil(2.0 * total_words / words))
+    return ColumnarCluster(n_machines, words, strict=strict)

@@ -1,21 +1,18 @@
-"""Typed column batches: the record layout of the columnar substrate.
+"""Typed column batches: the record layout of the MPC cluster.
 
-The object substrate ships Python tuples like ``("edge", u, v)`` and
-prices them by recursive traversal (:func:`repro.mpc.machine.sizeof_words`).
-A :class:`ColumnBatch` is the columnar equivalent: a record *kind*
-(the tuple's tag), a dict of fixed-width NumPy columns (one per tuple
-field), and an optional ragged payload (offsets + flat values, the CSR
-discipline) for variable-length fields such as exponentiation balls.
+A :class:`ColumnBatch` holds records of one *kind* (the record's tag)
+as a dict of fixed-width NumPy columns (one per record field), plus an
+optional ragged payload (offsets + flat values, the CSR discipline)
+for variable-length fields such as exponentiation balls.
 
 Word accounting (DESIGN.md §7) is computed from dtypes and lengths —
 no per-record traversal: each fixed column contributes
 ``max(1, itemsize // 8)`` words per record (a word holds an id or a
-number; sub-word scalars such as bools still occupy one word, exactly
-like the object substrate's ``sizeof_words``), the kind tag contributes
-one word (parity with the tuple tag string), and a ragged payload
-contributes its per-record length in words.  By construction a batch
-prices identically to the tuple records it replaces, which is what
-keeps the two substrates' ledgers bit-identical.
+number, so sub-word scalars such as bools still occupy one word), the
+kind tag contributes one word, and a ragged payload contributes its
+per-record length in words.  So a batch prices exactly like the tuple
+records ``(tag, field, …)`` it stands for, which is what the
+per-record parity oracle in ``tests/mpc_reference.py`` checks.
 """
 
 from __future__ import annotations
@@ -34,8 +31,7 @@ def dtype_words(dtype) -> int:
     """Words per element of ``dtype``: ``max(1, itemsize // 8)``.
 
     int64/float64 are one word; narrow scalars (bool, int32) round up
-    to one word, matching ``sizeof_words`` on the equivalent Python
-    scalar.
+    to one word, like the Python scalar they stand for.
     """
     return max(1, np.dtype(dtype).itemsize // WORD_BYTES)
 

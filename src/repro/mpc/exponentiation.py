@@ -8,10 +8,12 @@ each vertex's ball with the balls of its frontier vertices doubles the
 radius.  ``⌈log₂ B⌉`` joins suffice — the ``log B`` factor inside
 Theorem 10's ``O(√log λ · log log λ)``.
 
-Representation: per-vertex ball records ``("ball", v, edges)`` where
-``edges`` is a sorted tuple of ``(a, b)`` pairs.  The join is executed
-as two accounted exchanges per doubling (request shipping + response
-shipping), which is the standard constant-round join implementation.
+Representation: one ``ball`` column batch — a center column ``v`` and
+a ragged payload of flattened ``(a, b)`` edge pairs, sorted — so a
+ball costs ``2 + 2·|edges|`` words.  The join is executed as two
+accounted exchanges per doubling (request shipping + response
+shipping), which is the standard constant-round join implementation;
+the per-ball frontier and truncation are machine-local compute.
 
 This is the faithful-mode path; it is exercised on small sparsified
 graphs where ball volume ``d^B`` fits in a machine (DESIGN.md §5).
@@ -25,7 +27,6 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.mpc.cluster import MPCCluster
 from repro.mpc.columnar import ColumnarCluster, Shipment
 from repro.mpc.columns import ColumnBatch, ragged_from_rows
 
@@ -41,10 +42,9 @@ BALL_TAG = "ball"
 
 def ball_record_words(edges) -> int:
     """Stored words of one collected ball record: 1 (tag) + 1 (center)
-    + 2 per edge — identical to ``sizeof_words((\"ball\", v, edges))``
-    on the object substrate and to :func:`_ball_batch`'s per-row cost
-    on the columnar one.  The adaptive throttling layer uses this to
-    turn ``collect_balls`` output into payload-size distributions."""
+    + 2 per edge — :func:`_ball_batch`'s per-row cost.  The adaptive
+    throttling layer uses this to turn ``collect_balls`` output into
+    payload-size distributions."""
     return 2 + 2 * len(edges)
 
 
@@ -112,8 +112,24 @@ def _truncate(edges: set[tuple[int, int]], center: int, radius: int) -> tuple[tu
     return kept
 
 
+def _ball_batch(centers: np.ndarray, edge_rows: list) -> ColumnBatch:
+    """Balls as a ragged batch: center column + flattened edge pairs.
+
+    Per-record words = 1 (tag) + 1 (center) + 2·|edges|.
+    """
+    offsets, payload = ragged_from_rows(
+        [[c for pair in row for c in pair] for row in edge_rows]
+    )
+    return ColumnBatch(BALL_TAG, {"v": centers}, offsets, payload, key="v")
+
+
+def _ball_pairs(batch: ColumnBatch, i: int) -> tuple[tuple[int, int], ...]:
+    flat = batch.payload_row(i).tolist()
+    return tuple(zip(flat[0::2], flat[1::2]))
+
+
 def collect_balls(
-    cluster: MPCCluster,
+    cluster: ColumnarCluster,
     n_vertices: int,
     edge_list: list[tuple[int, int]],
     radius: int,
@@ -134,120 +150,8 @@ def collect_balls(
         raise ValueError("radius must be >= 1")
     n_machines = cluster.n_machines
     owner = owner_of_vertex or (lambda v: v % n_machines)
-    if isinstance(cluster, ColumnarCluster):
-        return _collect_balls_columnar(
-            cluster, n_vertices, edge_list, radius, owner
-        )
 
     # Radius-1 balls from the raw edges (input loading, costs no rounds).
-    incident: dict[int, set[tuple[int, int]]] = defaultdict(set)
-    for a, b in edge_list:
-        incident[a].add((a, b))
-        incident[b].add((a, b))
-    records = [
-        (BALL_TAG, v, tuple(sorted(incident.get(v, set()))))
-        for v in range(n_vertices)
-    ]
-    cluster.load(records, by=lambda rec: owner(rec[1]))
-
-    rounds_used = 0
-    current_radius = 1
-    while current_radius < radius:
-        target = min(radius, 2 * current_radius)
-        cur = current_radius
-
-        # Exchange A: every center asks the owners of its frontier
-        # vertices for their balls: request = (req, frontier_vertex,
-        # center).  Balls persist in place.
-        def request_mapper(mid: int, recs: list):
-            for rec in recs:
-                if rec[0] == BALL_TAG:
-                    _, center, edges = rec
-                    for w in _frontier(edges, center, cur):
-                        if w != center:
-                            yield owner(w), ("req", w, center)
-                    yield mid, rec
-                else:
-                    yield mid, rec
-
-        cluster.exchange(request_mapper, label="exponentiation/request")
-        rounds_used += 1
-
-        # Exchange B: owners answer with ("resp", center, edges);
-        # requests are consumed.
-        def response_mapper(mid: int, recs: list):
-            local_balls = {rec[1]: rec[2] for rec in recs if rec[0] == BALL_TAG}
-            for rec in recs:
-                if rec[0] == BALL_TAG:
-                    yield mid, rec
-                elif rec[0] == "req":
-                    _, w, center = rec
-                    yield owner(center), ("resp", center, local_balls.get(w, ()))
-
-        cluster.exchange(response_mapper, label="exponentiation/response")
-        rounds_used += 1
-
-        # Local merge: centers union the responses into their ball and
-        # truncate to the target radius (free in-round computation).
-        for m in cluster.machines:
-            balls: dict[int, set[tuple[int, int]]] = {}
-            extras: dict[int, list[tuple[tuple[int, int], ...]]] = defaultdict(list)
-            for rec in m.storage:
-                if rec[0] == BALL_TAG:
-                    balls[rec[1]] = set(rec[2])
-                elif rec[0] == "resp":
-                    extras[rec[1]].append(rec[2])
-            m.clear()
-            for center, edges in balls.items():
-                for extra in extras.get(center, []):
-                    edges.update(extra)
-                m.store((BALL_TAG, center, _truncate(edges, center, target)))
-        current_radius = target
-
-    out: dict[int, tuple[tuple[int, int], ...]] = {}
-    for rec in cluster.all_records():
-        if rec[0] == BALL_TAG:
-            out[rec[1]] = rec[2]
-    return out, rounds_used
-
-
-# ----------------------------------------------------------------------
-# Columnar path (DESIGN.md §7)
-# ----------------------------------------------------------------------
-def _ball_batch(centers: np.ndarray, edge_rows: list) -> ColumnBatch:
-    """Balls as a ragged batch: center column + flattened edge pairs.
-
-    Per-record words = 1 (tag) + 1 (center) + 2·|edges| — identical to
-    ``sizeof_words(("ball", v, edges))``.
-    """
-    offsets, payload = ragged_from_rows(
-        [[c for pair in row for c in pair] for row in edge_rows]
-    )
-    return ColumnBatch(BALL_TAG, {"v": centers}, offsets, payload, key="v")
-
-
-def _ball_pairs(batch: ColumnBatch, i: int) -> tuple[tuple[int, int], ...]:
-    flat = batch.payload_row(i).tolist()
-    return tuple(zip(flat[0::2], flat[1::2]))
-
-
-def _collect_balls_columnar(
-    cluster: ColumnarCluster,
-    n_vertices: int,
-    edge_list: list[tuple[int, int]],
-    radius: int,
-    owner,
-) -> tuple[dict[int, tuple[tuple[int, int], ...]], int]:
-    """Column-batch graph exponentiation.
-
-    The per-ball frontier/truncate helpers are shared with the object
-    path (machine-local compute is free in the model either way); the
-    communication — request and response shipping — is expressed as
-    ragged column shipments, so word pricing and partitioning are
-    vectorized and the round ledger matches the object substrate
-    exactly.
-    """
-    n_machines = cluster.n_machines
     incident: dict[int, set[tuple[int, int]]] = defaultdict(set)
     for a, b in edge_list:
         incident[a].add((a, b))

@@ -8,44 +8,34 @@ literature".  This module implements them on the accounted cluster:
 * :func:`tree_broadcast` — send a small payload to every machine along
   a fan-out-``f`` tree; **⌈log_f M⌉ rounds** (``f`` derived from the
   word budget).
-* :func:`tree_reduce` / :func:`tree_reduce_vector` — aggregate
-  per-machine values to machine 0 up the same tree; **⌈log_f M⌉
-  rounds**.
+* :func:`tree_reduce_vector` — sum per-machine partial vectors to
+  machine 0 up the same tree; **⌈log_f M⌉ rounds**.
 * :func:`sample_sort` — TeraSort-style splitter sort; **3 rounds +
   one broadcast**.
 
 Every primitive runs through the cluster's accounted exchange, so
 space and traffic budgets are enforced and round counts accumulate in
 the cluster's ledger — the numbers E5 compares against the theory.
-
-Each primitive dispatches on the substrate (DESIGN.md §7): object
-clusters take the per-record path below; :class:`ColumnarCluster`
-instances take the vectorized column-batch path.  Both walk the same
-tree schedules and charge identical word counts, so the ledgers are
-bit-identical (asserted in ``tests/test_columnar_substrate.py``).
+Records are column batches (DESIGN.md §7), so keys are column names.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import random
-from typing import Any, Callable, Optional, Union
+from typing import Any, Optional
 
 import numpy as np
 
 from repro.kernels import scatter_add
-from repro.mpc.cluster import MPCCluster
-from repro.mpc.columnar import ColumnarCluster, Shipment
+from repro.mpc.columnar import ColumnarCluster, Shipment, SpaceViolation
 from repro.mpc.columns import ColumnBatch
-from repro.mpc.machine import SpaceViolation, sizeof_words
 
 __all__ = [
     "fan_out",
     "tree_depth",
     "route_by_key",
     "tree_broadcast",
-    "tree_reduce",
     "tree_reduce_vector",
     "sample_sort",
 ]
@@ -92,8 +82,8 @@ def tree_depth(n_machines: int, f: int) -> int:
 # route_by_key
 # ----------------------------------------------------------------------
 def route_by_key(
-    cluster,
-    key_fn: Union[Callable[[Any], int], str, None] = None,
+    cluster: ColumnarCluster,
+    key_fn: Optional[str] = None,
     *,
     label: str = "route_by_key",
     return_histogram: bool = False,
@@ -107,52 +97,19 @@ def route_by_key(
     :func:`repro.kernels.scatter_add` primitive) so callers can track
     routing skew — the MPC driver records its peak in the ledger.
 
-    On an object cluster ``key_fn`` is the per-record callable.  On a
-    columnar cluster it is a column name (or ``None`` to use each
-    batch's declared ``key`` column) and the destinations are computed
-    vectorized.
+    ``key_fn`` is the key column's name, or ``None`` to use each
+    resident batch's declared ``key`` column.
     """
-    if isinstance(cluster, ColumnarCluster):
-        return _route_by_key_columnar(
-            cluster, key_fn, label=label, return_histogram=return_histogram
-        )
-    if not callable(key_fn):
-        raise TypeError("object-substrate route_by_key needs a per-record key_fn")
-    n = cluster.n_machines
-    destinations: list[int] | None = [] if return_histogram else None
-
-    def mapper(mid: int, records: list[Any]):
-        for rec in records:
-            dst = int(key_fn(rec)) % n
-            if destinations is not None:
-                destinations.append(dst)
-            yield dst, rec
-
-    cluster.exchange(mapper, label=label)
-    if destinations is None:
-        return None
-    return scatter_add(
-        np.asarray(destinations, dtype=np.int64), minlength=n
-    ).astype(np.int64)
-
-
-def _route_by_key_columnar(
-    cluster: ColumnarCluster,
-    key_col: Optional[str],
-    *,
-    label: str,
-    return_histogram: bool,
-) -> np.ndarray | None:
-    if key_col is not None and not isinstance(key_col, str):
+    if key_fn is not None and not isinstance(key_fn, str):
         raise TypeError(
-            "columnar route_by_key takes a column name (or None for each "
-            "batch's declared key), not a per-record callable"
+            "route_by_key takes a column name (or None for each batch's "
+            "declared key), not a per-record callable"
         )
     M = cluster.n_machines
     ships: list[Shipment] = []
     all_dst: list[np.ndarray] = []
     for kind, (batch, home) in cluster.store_items():
-        col = key_col if key_col is not None else batch.key
+        col = key_fn if key_fn is not None else batch.key
         if col is None:
             raise ValueError(
                 f"kind {kind!r} declares no routing key and none was passed"
@@ -173,59 +130,10 @@ def _route_by_key_columnar(
 # ----------------------------------------------------------------------
 # tree_broadcast
 # ----------------------------------------------------------------------
-def tree_broadcast(
-    cluster,
-    payload: Any,
-    *,
-    tag: str = "bcast",
-    label: str = "broadcast",
-) -> int:
-    """Deliver ``(tag, payload)`` to every machine; returns rounds used.
-
-    Machine 0 is the root.  Children of machine ``i`` at fan-out ``f``
-    are ``i·f+1 .. i·f+f`` — the standard implicit tree.  The columnar
-    path carries the payload as a ragged numeric column (same word
-    count as ``sizeof_words`` on the tuple) and walks the identical
-    level schedule.
-    """
-    if isinstance(cluster, ColumnarCluster):
-        return _tree_broadcast_columnar(cluster, payload, tag=tag, label=label)
-    words = sizeof_words(payload) + 1
-    f = fan_out(cluster, words)
-    n = cluster.n_machines
-    rounds = 0
-    # Seed the payload at the root without charging a round (the root
-    # computes it locally).
-    cluster.machines[0].store((tag, payload))
-
-    # Level-by-level push until every machine holds the tagged record.
-    have = {0}
-    while len(have) < n:
-        frontier = set(have)
-
-        def mapper(mid: int, records: list[Any]):
-            for rec in records:
-                if isinstance(rec, tuple) and len(rec) == 2 and rec[0] == tag:
-                    if mid in frontier:
-                        for c in range(mid * f + 1, min(n, mid * f + f + 1)):
-                            if c not in frontier:
-                                yield c, rec
-                yield mid, rec  # everything persists in place
-
-        cluster.exchange(mapper, label=f"{label}/level")
-        rounds += 1
-        new_have = set(frontier)
-        for parent in frontier:
-            for c in range(parent * f + 1, min(n, parent * f + f + 1)):
-                new_have.add(c)
-        have = new_have
-    return max(rounds, 1) if n > 1 else 0
-
-
 def _broadcast_payload_array(payload: Any) -> np.ndarray:
     arr = np.asarray(payload, dtype=np.float64)
     if arr.ndim > 1:
-        raise ValueError("columnar broadcast payloads must be scalar or 1-D")
+        raise ValueError("broadcast payloads must be scalar or 1-D")
     return np.atleast_1d(arr)
 
 
@@ -234,13 +142,27 @@ def _payload_batch(tag: str, arr: np.ndarray, copies: int) -> ColumnBatch:
     return ColumnBatch(tag, {}, offsets, np.tile(arr, copies))
 
 
-def _tree_broadcast_columnar(
-    cluster: ColumnarCluster, payload: Any, *, tag: str, label: str
+def tree_broadcast(
+    cluster: ColumnarCluster,
+    payload: Any,
+    *,
+    tag: str = "bcast",
+    label: str = "broadcast",
 ) -> int:
+    """Deliver a ``tag`` record carrying ``payload`` to every machine;
+    returns rounds used.
+
+    Machine 0 is the root.  Children of machine ``i`` at fan-out ``f``
+    are ``i·f+1 .. i·f+f`` — the standard implicit tree.  The payload
+    (a scalar or 1-D numeric sequence) travels as a ragged column: its
+    length in words plus one for the tag.
+    """
     arr = _broadcast_payload_array(payload)
     words = arr.size + 1
     f = fan_out(cluster, words)
     n = cluster.n_machines
+    # Seed the payload at the root without charging a round (the root
+    # computes it locally).
     cluster.append_rows(_payload_batch(tag, arr, 1), np.array([0], dtype=np.int64))
 
     rounds = 0
@@ -271,101 +193,8 @@ def _tree_broadcast_columnar(
 
 
 # ----------------------------------------------------------------------
-# tree_reduce
+# tree_reduce_vector
 # ----------------------------------------------------------------------
-def tree_reduce(
-    cluster: MPCCluster,
-    extract: Callable[[Any], Any],
-    combine: Callable[[Any, Any], Any],
-    zero: Any,
-    *,
-    tag: str = "reduce",
-    label: str = "reduce",
-) -> tuple[Any, int]:
-    """Fold ``extract`` over all records up a tree to machine 0.
-
-    Returns ``(total, rounds_used)``.  Partial aggregates travel as
-    ``(tag, value)`` records; original records stay in place.  Object
-    substrate only — columnar callers compute per-machine partials
-    vectorized and fold them with :func:`tree_reduce_vector` (same
-    tree, same word charges).
-    """
-    if isinstance(cluster, ColumnarCluster):
-        raise TypeError(
-            "columnar clusters reduce with tree_reduce_vector(cluster, partials)"
-        )
-    words = sizeof_words(zero) + 1
-    f = fan_out(cluster, words)
-    n = cluster.n_machines
-    depth = tree_depth(n, f)
-    # Each machine folds its local records once, host-side bookkeeping
-    # tracks which machines still hold partials.
-    level_of = {mid: _tree_level(mid, f) for mid in range(n)}
-    max_level = max(level_of.values())
-    rounds = 0
-
-    def parent(mid: int) -> int:
-        return (mid - 1) // f
-
-    # Local fold: attach partials.
-    for m in cluster.machines:
-        acc = zero
-        for rec in m.storage:
-            if isinstance(rec, tuple) and len(rec) == 2 and rec[0] == tag:
-                continue
-            val = extract(rec)
-            if val is not None:
-                acc = combine(acc, val)
-        m.store((tag, acc))
-
-    current_level = max_level
-    while current_level > 0:
-        lvl = current_level
-
-        def mapper(mid: int, records: list[Any]):
-            for rec in records:
-                if (
-                    isinstance(rec, tuple)
-                    and len(rec) == 2
-                    and rec[0] == tag
-                    and level_of[mid] == lvl
-                ):
-                    yield parent(mid), rec
-                else:
-                    yield mid, rec
-
-        cluster.exchange(mapper, label=f"{label}/level")
-        rounds += 1
-        # Parents merge partials locally (free within-round compute).
-        for m in cluster.machines:
-            partials = [r for r in m.storage if isinstance(r, tuple) and len(r) == 2 and r[0] == tag]
-            if len(partials) > 1:
-                acc = zero
-                keep = [r for r in m.storage if not (isinstance(r, tuple) and len(r) == 2 and r[0] == tag)]
-                for _, val in partials:
-                    acc = combine(acc, val)
-                m.clear()
-                for r in keep:
-                    m.store(r)
-                m.store((tag, acc))
-        current_level -= 1
-
-    # Read the root's partial and strip reduce records everywhere.
-    total = zero
-    for m in cluster.machines:
-        keep = []
-        for rec in m.storage:
-            if isinstance(rec, tuple) and len(rec) == 2 and rec[0] == tag:
-                if m.machine_id == 0:
-                    total = combine(total, rec[1])
-            else:
-                keep.append(rec)
-        m.clear()
-        for rec in keep:
-            m.store(rec)
-    return total, max(rounds, 0)
-
-
 def tree_reduce_vector(
     cluster: ColumnarCluster,
     partials: np.ndarray,
@@ -373,15 +202,13 @@ def tree_reduce_vector(
     tag: str = "reduce",
     label: str = "reduce",
 ) -> tuple[np.ndarray, int]:
-    """Columnar tree reduce: elementwise-sum an ``(M, k)`` partial
-    matrix (one row per machine, computed vectorized by the caller) up
-    the same implicit tree :func:`tree_reduce` walks.
+    """Tree reduce: elementwise-sum an ``(M, k)`` partial matrix (one
+    row per machine, computed vectorized by the caller) up the implicit
+    fan-out-``f`` tree to machine 0.
 
     Returns ``(total_vector, rounds_used)``.  Each partial travels as
-    a ragged ``k``-word payload plus the tag word — exactly the
-    ``sizeof_words((tag, k_tuple))`` the object substrate charges — and
-    parents fold partials in (own, children ascending) order, the
-    object substrate's storage-scan order, so sums are bit-identical.
+    a ragged ``k``-word payload plus the tag word, and parents fold
+    partials sequentially in (own, children ascending) order.
     """
     P = np.atleast_2d(np.asarray(partials, dtype=np.float64))
     M, k = P.shape
@@ -453,9 +280,16 @@ def _tree_level(mid: int, f: int) -> int:
 # ----------------------------------------------------------------------
 # sample_sort
 # ----------------------------------------------------------------------
+def _pick_splitters(samples: list, n_machines: int) -> list:
+    if not samples:
+        return []
+    step = max(1, len(samples) // n_machines)
+    return samples[step::step][: n_machines - 1]
+
+
 def sample_sort(
-    cluster,
-    key_fn: Union[Callable[[Any], Any], str, None] = None,
+    cluster: ColumnarCluster,
+    key_fn: Optional[str] = None,
     *,
     oversample: int = 8,
     seed: int = 0,
@@ -466,100 +300,24 @@ def sample_sort(
 
     Three exchange rounds (sample collection, routing, settle) plus one
     splitter broadcast.  Splitters are chosen from per-machine samples
-    gathered at machine 0 — the classical TeraSort scheme.  On a
-    columnar cluster ``key_fn`` is a column name (or ``None`` for the
-    resident batch's declared key); samples are drawn from the same
-    shared RNG in the same machine order, so the splitters — and hence
-    the ledger — match the object substrate exactly.
+    gathered at machine 0 — the classical TeraSort scheme; samples are
+    drawn from one seeded RNG in machine order.  ``key_fn`` is the key
+    column's name, or ``None`` for the resident batch's declared key;
+    exactly one data kind may be resident.
     """
-    if isinstance(cluster, ColumnarCluster):
-        return _sample_sort_columnar(
-            cluster, key_fn, oversample=oversample, seed=seed, label=label
-        )
-    if not callable(key_fn):
-        raise TypeError("object-substrate sample_sort needs a per-record key_fn")
-    n = cluster.n_machines
-    rng = random.Random(seed)
-    sample_tag = "__sort_sample__"
-
-    # Round 1: every machine sends a key sample to machine 0.
-    def sample_mapper(mid: int, records: list[Any]):
-        keys = [key_fn(rec) for rec in records]
-        k = min(len(keys), max(1, oversample))
-        sampled = rng.sample(keys, k) if keys else []
-        for key in sampled:
-            yield 0, (sample_tag, key)
-        for rec in records:
-            yield mid, rec
-
-    cluster.exchange(sample_mapper, label=f"{label}/sample")
-
-    # Machine 0 computes splitters locally.
-    samples = sorted(
-        rec[1]
-        for rec in cluster.machines[0].storage
-        if isinstance(rec, tuple) and len(rec) == 2 and rec[0] == sample_tag
-    )
-    # Strip sample records.
-    keep = [
-        rec
-        for rec in cluster.machines[0].storage
-        if not (isinstance(rec, tuple) and len(rec) == 2 and rec[0] == sample_tag)
-    ]
-    cluster.machines[0].clear()
-    for rec in keep:
-        cluster.machines[0].store(rec)
-
-    splitters = _pick_splitters(samples, n)
-
-    bcast_rounds = tree_broadcast(cluster, tuple(splitters), tag="__splitters__", label=f"{label}/splitters")
-
-    # Round 3: route records to their bucket.
-    def route_mapper(mid: int, records: list[Any]):
-        for rec in records:
-            if isinstance(rec, tuple) and len(rec) == 2 and rec[0] == "__splitters__":
-                continue  # drop control records
-            bucket = bisect.bisect_right(splitters, key_fn(rec))
-            yield min(bucket, n - 1), rec
-
-    cluster.exchange(route_mapper, label=f"{label}/route")
-
-    # Local sort (free compute).
-    for m in cluster.machines:
-        m.storage.sort(key=key_fn)
-    # sample round + splitter broadcast + routing round
-    return 2 + bcast_rounds
-
-
-def _pick_splitters(samples: list, n_machines: int) -> list:
-    if not samples:
-        return []
-    step = max(1, len(samples) // n_machines)
-    return samples[step::step][: n_machines - 1]
-
-
-def _sample_sort_columnar(
-    cluster: ColumnarCluster,
-    key_col: Optional[str],
-    *,
-    oversample: int,
-    seed: int,
-    label: str,
-) -> int:
-    if key_col is not None and not isinstance(key_col, str):
+    if key_fn is not None and not isinstance(key_fn, str):
         raise TypeError(
-            "columnar sample_sort takes a column name (or None for the "
-            "resident batch's declared key), not a per-record callable"
+            "sample_sort takes a column name (or None for the resident "
+            "batch's declared key), not a per-record callable"
         )
     data_kinds = [k for k in cluster.kinds() if not k.startswith("__")]
     if len(data_kinds) != 1:
         raise ValueError(
-            f"columnar sample_sort expects exactly one resident kind, "
-            f"found {data_kinds}"
+            f"sample_sort expects exactly one resident kind, found {data_kinds}"
         )
     kind = data_kinds[0]
     batch, home = cluster.rows(kind)
-    col = key_col if key_col is not None else batch.key
+    col = key_fn if key_fn is not None else batch.key
     if col is None:
         raise ValueError(f"kind {kind!r} declares no key column and none was passed")
     n = cluster.n_machines
@@ -567,7 +325,7 @@ def _sample_sort_columnar(
     sample_tag = "__sort_sample__"
 
     # Round 1: per-machine samples to machine 0, drawn from the shared
-    # RNG in machine order (identical stream to the object substrate).
+    # RNG in machine order.
     keys = batch.cols[col]
     sampled_keys: list = []
     sample_src: list[int] = []
@@ -615,4 +373,5 @@ def _sample_sort_columnar(
             (np.arange(batch.n_records), batch.cols[col], home)
         )
         cluster.replace_kind(kind, batch.take(order), home[order])
+    # sample round + splitter broadcast + routing round
     return 2 + bcast_rounds

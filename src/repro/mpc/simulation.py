@@ -26,15 +26,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.core.proportional import ProportionalRun
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.capacities import validate_capacities
-from repro.mpc.cluster import MPCCluster, cluster_for
-from repro.mpc.columnar import ColumnarCluster, Shipment
+from repro.mpc.columnar import ColumnarCluster, Shipment, cluster_for
 from repro.mpc.columns import ColumnBatch
 from repro.utils.validation import check_fraction, check_positive_int
 
@@ -61,18 +60,25 @@ def simulate_local_rounds_on_cluster(
     *,
     alpha: float = 0.5,
     space_slack: float = 64.0,
-    cluster: Optional[MPCCluster | ColumnarCluster] = None,
-    substrate: Optional[str] = None,
+    cluster: Optional[ColumnarCluster] = None,
 ) -> DirectSimulationResult:
     """Run τ exact Algorithm-1 rounds at 3 MPC rounds each.
 
     Returns the final β exponents and the last round's allocs, both of
-    which match :class:`ProportionalRun` exactly (tested).
+    which match :class:`ProportionalRun` (tested).
 
-    ``substrate`` selects the cluster representation (DESIGN.md §7);
-    the columnar path executes the identical three-exchange schedule
-    with vectorized routing and sequential-order NumPy folds, so its
-    ledger *and* numbers are bit-identical to the object path (tested).
+    The numbers are a function of the communication pattern alone,
+    which is what the per-record parity oracle
+    (``tests/mpc_reference.py``) checks bit for bit:
+
+    * rows stay in arrival order (the cluster's row-order contract),
+      so per-vertex groups see their contributions in the sequence a
+      per-record machine would fold them;
+    * ``np.bincount`` accumulates *sequentially* in element order
+      (``np.add.reduceat`` does not — it may re-associate — so every
+      float segment sum here is a bincount); and
+    * the shifted exponentials are looked up from a table of
+      ``math.exp(d · log(1+ε))`` keyed by the integer shift ``d``.
     """
     caps = validate_capacities(graph, capacities)
     epsilon = check_fraction(epsilon, "epsilon")
@@ -83,143 +89,8 @@ def simulate_local_rounds_on_cluster(
         total_words = 8 * (graph.n_edges + graph.n_vertices) + 16
         cluster = cluster_for(
             total_words, n_for_alpha=max(2, graph.n_vertices), alpha=alpha,
-            slack=space_slack, strict=True, substrate=substrate,
+            slack=space_slack, strict=True,
         )
-    if isinstance(cluster, ColumnarCluster):
-        return _simulate_columnar(graph, caps, epsilon, tau, log1p_eps, cluster)
-    n_machines = cluster.n_machines
-
-    # Resident state: edge records keyed by v, plus β/capacity records.
-    records: list[tuple] = [
-        ("edge", int(graph.edge_u[e]), int(graph.edge_v[e])) for e in range(graph.n_edges)
-    ]
-    records.extend(("beta", int(v), 0) for v in range(graph.n_right))
-    records.extend(("cap", int(v), int(caps[v])) for v in range(graph.n_right))
-    cluster.load(records, by=lambda rec: rec[2] % n_machines if rec[0] == "edge" else rec[1] % n_machines)
-
-    def owner_right(v: int) -> int:
-        return v % n_machines
-
-    def owner_left(u: int) -> int:
-        return u % n_machines
-
-    alloc_final = np.zeros(graph.n_right, dtype=np.float64)
-    for _ in range(tau):
-        # Exchange 1 (join): β flows onto co-located edges; edge records
-        # leave annotated with the current exponent, keyed by u.
-        def join(mid: int, recs: list[Any]):
-            beta_local = {rec[1]: rec[2] for rec in recs if rec[0] == "beta"}
-            for rec in recs:
-                kind = rec[0]
-                if kind == "edge":
-                    _, u, v = rec
-                    yield owner_left(u), ("edge_b", u, v, beta_local[v])
-                else:
-                    yield mid, rec
-
-        cluster.exchange(join, label="direct/join")
-
-        # Exchange 2 (normalize): per left vertex, proportional split;
-        # contributions return keyed by v.  Edges also return to their
-        # home (v-keyed) machines for the next round.
-        def normalize(mid: int, recs: list[Any]):
-            by_left: dict[int, list[tuple[int, int]]] = {}
-            for rec in recs:
-                if rec[0] == "edge_b":
-                    by_left.setdefault(rec[1], []).append((rec[2], rec[3]))
-            for rec in recs:
-                if rec[0] == "edge_b":
-                    continue
-                yield mid, rec
-            for u, nbrs in by_left.items():
-                max_exp = max(b for _, b in nbrs)
-                weights = [(v, math.exp((b - max_exp) * log1p_eps)) for v, b in nbrs]
-                denom = sum(w for _, w in weights)
-                for v, w in weights:
-                    yield owner_right(v), ("x", u, v, w / denom)
-
-        cluster.exchange(normalize, label="direct/normalize")
-
-        # Exchange 3 (aggregate): per right vertex, fold alloc and step
-        # β; x records are consumed, edges are reconstituted at home.
-        round_alloc: dict[int, float] = {}
-
-        def aggregate(mid: int, recs: list[Any]):
-            alloc: dict[int, float] = {}
-            caps_local: dict[int, int] = {}
-            beta_local: dict[int, int] = {}
-            for rec in recs:
-                if rec[0] == "x":
-                    alloc[rec[2]] = alloc.get(rec[2], 0.0) + rec[3]
-                elif rec[0] == "cap":
-                    caps_local[rec[1]] = rec[2]
-                elif rec[0] == "beta":
-                    beta_local[rec[1]] = rec[2]
-            for rec in recs:
-                kind = rec[0]
-                if kind == "x":
-                    # Reconstitute the edge at its v-home machine.
-                    yield mid, ("edge", rec[1], rec[2])
-                elif kind == "beta":
-                    v = rec[1]
-                    a = alloc.get(v, 0.0)
-                    round_alloc[v] = a
-                    c = float(caps_local[v])
-                    b = beta_local[v]
-                    if a <= c / (1.0 + epsilon):
-                        b += 1
-                    elif a >= c * (1.0 + epsilon):
-                        b -= 1
-                    yield mid, ("beta", v, b)
-                else:
-                    yield mid, rec
-
-        cluster.exchange(aggregate, label="direct/aggregate")
-        alloc_final = np.zeros(graph.n_right, dtype=np.float64)
-        for v, a in round_alloc.items():
-            alloc_final[v] = a
-
-    beta_exp = np.zeros(graph.n_right, dtype=np.int64)
-    for rec in cluster.all_records():
-        if rec[0] == "beta":
-            beta_exp[rec[1]] = rec[2]
-    return DirectSimulationResult(
-        beta_exp=beta_exp,
-        alloc=alloc_final,
-        local_rounds=tau,
-        mpc_rounds=cluster.rounds_executed,
-        peak_machine_words=cluster.peak_machine_words(),
-        violations=list(cluster.violations),
-    )
-
-
-# ----------------------------------------------------------------------
-# Columnar path (DESIGN.md §7)
-# ----------------------------------------------------------------------
-def _simulate_columnar(
-    graph: BipartiteGraph,
-    caps: np.ndarray,
-    epsilon: float,
-    tau: int,
-    log1p_eps: float,
-    cluster: ColumnarCluster,
-) -> DirectSimulationResult:
-    """The three-exchange schedule on column batches.
-
-    Bit-parity with the object path rests on three facts (asserted by
-    ``tests/test_columnar_substrate.py``):
-
-    * rows stay in the object substrate's arrival order (the columnar
-      cluster's row-order contract), so per-vertex groups see their
-      contributions in the same sequence;
-    * ``np.bincount`` accumulates *sequentially* in element order,
-      reproducing the Python-loop folds exactly (``np.add.reduceat``
-      does not — it may re-associate — so every float segment sum here
-      is a bincount); and
-    * the shifted exponentials are looked up from a table of
-      ``math.exp(d · log(1+ε))`` keyed by the integer shift ``d``, the
-      very calls the object path makes per record.
-    """
     M = cluster.n_machines
     n_right = graph.n_right
 
@@ -266,9 +137,8 @@ def _simulate_columnar(
 
         # Exchange 2 (normalize): per left vertex, proportional split;
         # contributions return keyed by v.  Rows are regrouped by the
-        # *first appearance* of each u — the object substrate's
-        # ``by_left`` dict order — so the segment folds below run in
-        # its exact summation order.
+        # *first appearance* of each u (a machine's group-by order), and
+        # each segment fold runs in arrival order within its group.
         xb, xh = cluster.rows("edge_b")
         bb, bh = cluster.rows("beta")
         cb, ch = cluster.rows("cap")

@@ -4,8 +4,8 @@ A :class:`SweepSpec` is the sweep analogue of
 :class:`repro.api.SolverConfig`: a frozen, validated description of a
 parameter grid.  The instance axes (generator family, target size n,
 epsilon, seed) cross with ``config_axes`` — lists of values for any
-other :class:`SolverConfig` field (backend, substrate, mode, budget
-policy, executor, …) — and :meth:`SweepSpec.expand` materialises the
+other :class:`SolverConfig` field (backend, mode, budget policy,
+executor, …) — and :meth:`SweepSpec.expand` materialises the
 product as frozen :class:`SweepCell` rows.
 
 Cell identity is *content*-addressed: :attr:`SweepCell.cell_id` is a

@@ -47,7 +47,7 @@ def test_config_defaults_match_historical_entry_points():
     assert config.epsilon == 0.2
     assert config.mode == "simulate"
     assert config.repair and config.boost
-    assert config.backend is None and config.substrate is None
+    assert config.backend is None
 
 
 def test_config_unknown_backend_lists_choices():
@@ -57,13 +57,6 @@ def test_config_unknown_backend_lists_choices():
         ValueError, match=r"available: \['auto', 'native', 'optimized', 'reference'\]"
     ):
         SolverConfig(backend="nope")
-
-
-def test_config_unknown_substrate_lists_choices():
-    with pytest.raises(ValueError, match=r"unknown MPC substrate 'nope'"):
-        SolverConfig(substrate="nope")
-    with pytest.raises(ValueError, match=r"available: \['columnar', 'object'\]"):
-        SolverConfig(substrate="nope")
 
 
 @pytest.mark.parametrize(
@@ -90,7 +83,6 @@ def test_config_json_round_trip():
     config = SolverConfig(
         epsilon=0.15,
         backend="reference",
-        substrate="object",
         mode="faithful",
         seed=7,
         repair=False,
@@ -109,6 +101,9 @@ def test_config_json_round_trip():
 def test_config_from_dict_rejects_wrong_schema_and_unknown_fields():
     with pytest.raises(ValueError, match="unsupported SolverConfig schema"):
         SolverConfig.from_dict({"schema": "repro.api/SolverConfig/v999"})
+    # v2 documents carried the removed ``substrate`` field.
+    with pytest.raises(ValueError, match="unsupported SolverConfig schema"):
+        SolverConfig.from_dict({"schema": "repro.api/SolverConfig/v2"})
     with pytest.raises(ValueError, match="unknown SolverConfig fields"):
         SolverConfig.from_dict({"schema": CONFIG_SCHEMA, "epsilonn": 0.1})
 
@@ -165,16 +160,16 @@ def test_engine_solve_mpc_parity(instance):
 
 
 def test_engine_solve_mpc_faithful_parity(small_instance):
-    config = SolverConfig(mode="faithful", substrate="object", lam=2, seed=7)
+    config = SolverConfig(mode="faithful", lam=2, seed=7)
     report = Engine(config).solve_mpc(small_instance, sample_budget=6,
                                       space_slack=512.0)
     direct = solve_allocation_mpc(
-        small_instance, 0.2, lam=2, mode="faithful", substrate="object",
+        small_instance, 0.2, lam=2, mode="faithful",
         seed=7, sample_budget=6, space_slack=512.0,
     )
     assert np.array_equal(report.allocation.x, direct.allocation.x)
     assert report.round_ledger.by_category == direct.ledger.by_category
-    assert report.meta["substrate"] == "object"
+    assert report.meta["mode"] == "faithful"
 
 
 def test_engine_seed_policy_and_per_call_override(instance):
@@ -226,7 +221,7 @@ def test_engine_rounding_copies_override(instance):
 
 
 # ----------------------------------------------------------------------
-# Engine lifecycle: scoped backend/substrate activation
+# Engine lifecycle: scoped backend activation
 # ----------------------------------------------------------------------
 
 def test_engine_context_scopes_backend_selection():
@@ -236,16 +231,6 @@ def test_engine_context_scopes_backend_selection():
     with Engine(backend="reference"):
         assert type(get_backend()).__name__ == "ReferenceBackend"
     assert type(get_backend()).__name__ == before
-
-
-def test_engine_context_scopes_substrate_selection():
-    from repro.mpc.substrate import get_substrate
-
-    before = get_substrate()
-    other = "object" if before != "object" else "columnar"
-    with Engine(substrate=other):
-        assert get_substrate() == other
-    assert get_substrate() == before
 
 
 def test_engine_activate_close_pair():

@@ -91,7 +91,7 @@ def test_top_level_exports_present():
 
     for name in ("Engine", "SolverConfig", "AllocationReport", "__version__"):
         assert name in repro.__all__
-    assert repro.__version__ == "3.0.0"
+    assert repro.__version__ == "4.0.0"
 
 
 if __name__ == "__main__":

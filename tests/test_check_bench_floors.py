@@ -115,7 +115,7 @@ def test_checks_cover_every_committed_payload():
     # payload has a bench declaring its bars.
     committed = {p.name for p in REPO.glob("BENCH_*.json")}
     assert set(DECLARED) == committed
-    assert len(committed) == 8
+    assert len(committed) == 7
     # Each bar is bounded one way: a floor or a ceiling.
     bars = [bar for bars in DECLARED.values() for bar in bars]
     assert all((bar.floor is None) != (bar.ceiling is None) for bar in bars)

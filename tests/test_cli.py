@@ -104,25 +104,9 @@ def test_cli_backend_flag(instance_file, capsys):
     json.loads(capsys.readouterr().out)
 
 
-def test_cli_substrate_flag(instance_file, capsys):
-    from repro.mpc.substrate import get_substrate, use_substrate
-
-    with use_substrate(get_substrate()):
-        assert cli_main([
-            "solve", str(instance_file), "--no-boost", "--substrate", "object",
-        ]) == 0
-        assert get_substrate() == "object"
-    json.loads(capsys.readouterr().out)
-
-
 def test_cli_unknown_backend(instance_file, capsys):
     assert cli_main(["solve", str(instance_file), "--backend", "nope"]) == 2
     assert "unknown kernel backend" in capsys.readouterr().err
-
-
-def test_cli_unknown_substrate(instance_file, capsys):
-    assert cli_main(["solve", str(instance_file), "--substrate", "nope"]) == 2
-    assert "unknown MPC substrate" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------

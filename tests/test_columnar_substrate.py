@@ -1,11 +1,13 @@
-"""Parity suite: columnar vs object MPC substrate (DESIGN.md §7).
+"""Parity suite: the columnar MPC cluster vs the per-record oracle
+(DESIGN.md §7.4).
 
-The contract under test: both substrates execute the same
+The contract under test: the shipped :class:`ColumnarCluster` and the
+per-record cluster in ``tests/mpc_reference.py`` execute the same
 communication pattern, so round ledgers, per-machine word counters,
 budget-violation strings, and numeric trajectories are bit-identical.
-Plus the substrate registry, dtype word accounting, and the edge cases
-the ISSUE calls out (empty exchanges, single-machine clusters,
-zero-record routes, exact-budget batches, degree-0 vertices).
+Plus dtype word accounting and the edge cases (empty exchanges,
+single-machine clusters, zero-record routes, exact-budget batches,
+degree-0 vertices).
 """
 
 from __future__ import annotations
@@ -15,26 +17,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.mpc_driver import solve_allocation_mpc
-from repro.graphs.generators import union_of_forests
-from repro.mpc.cluster import MPCCluster
+from repro.graphs.generators import skew_frontier_instance, union_of_forests
+from repro.mpc import SpaceViolation, cluster_for
 from repro.mpc.columnar import ColumnarCluster, Shipment
 from repro.mpc.columns import ColumnBatch, dtype_words, ragged_from_rows
 from repro.mpc.exponentiation import collect_balls
-from repro.mpc.machine import SpaceViolation, sizeof_words
 from repro.mpc.primitives import (
     route_by_key,
     sample_sort,
     tree_broadcast,
-    tree_reduce,
     tree_reduce_vector,
 )
 from repro.mpc.simulation import simulate_local_rounds_on_cluster
-from repro.mpc.substrate import (
-    available_substrates,
-    get_substrate,
-    make_cluster,
-    use_substrate,
-)
+from tests import mpc_reference as ref
+from tests.mpc_reference import MPCCluster, per_record_driver, sizeof_words
 
 
 def ledger_of(cluster) -> list[tuple]:
@@ -130,29 +126,6 @@ def test_batch_validation():
 
 
 # ----------------------------------------------------------------------
-# substrate registry
-# ----------------------------------------------------------------------
-
-def test_registry_names_and_make_cluster():
-    assert {"object", "columnar"} <= set(available_substrates())
-    assert isinstance(make_cluster(2, 64, substrate="object"), MPCCluster)
-    assert isinstance(make_cluster(2, 64, substrate="columnar"), ColumnarCluster)
-    with pytest.raises(ValueError, match="unknown MPC substrate"):
-        make_cluster(2, 64, substrate="sparse")
-
-
-def test_set_and_use_substrate():
-    before = get_substrate()
-    with use_substrate("object") as active:
-        assert active == "object"
-        assert isinstance(make_cluster(1, 32), MPCCluster)
-        with use_substrate("columnar"):
-            assert isinstance(make_cluster(1, 32), ColumnarCluster)
-        assert get_substrate() == "object"
-    assert get_substrate() == before
-
-
-# ----------------------------------------------------------------------
 # exchange-level parity and edge cases
 # ----------------------------------------------------------------------
 
@@ -175,7 +148,7 @@ def load_pair(co, cc, n=12):
 def test_route_by_key_parity():
     co, cc = pair()
     load_pair(co, cc)
-    h_o = route_by_key(co, key_fn=lambda rec: rec[1], return_histogram=True)
+    h_o = ref.route_by_key(co, key_fn=lambda rec: rec[1], return_histogram=True)
     h_c = route_by_key(cc, return_histogram=True)
     assert np.array_equal(h_o, h_c)
     assert ledger_of(co) == ledger_of(cc)
@@ -197,7 +170,7 @@ def test_zero_record_route_by_key_both_substrates():
     co, cc = pair()
     co.load([])
     cc.load_batches([])
-    route_by_key(co, key_fn=lambda rec: rec[1])
+    ref.route_by_key(co, key_fn=lambda rec: rec[1])
     route_by_key(cc)
     assert ledger_of(co) == ledger_of(cc)
     assert co.rounds_executed == cc.rounds_executed == 1
@@ -219,12 +192,12 @@ def test_empty_exchange_on_empty_kind():
 def test_single_machine_cluster_both_substrates():
     co, cc = pair(n_machines=1, words=1000)
     load_pair(co, cc, n=5)
-    route_by_key(co, key_fn=lambda rec: rec[1])
+    ref.route_by_key(co, key_fn=lambda rec: rec[1])
     route_by_key(cc)
-    assert tree_broadcast(co, (1.0, 2.0)) == 0
+    assert ref.tree_broadcast(co, (1.0, 2.0)) == 0
     assert tree_broadcast(cc, (1.0, 2.0)) == 0
     assert ledger_of(co) == ledger_of(cc)
-    total_o, r_o = tree_reduce(
+    total_o, r_o = ref.tree_reduce(
         co, lambda rec: rec[2] if rec[0] == "rec" else None, lambda a, b: a + b, 0
     )
     total_c, r_c = tree_reduce_vector(
@@ -237,7 +210,7 @@ def test_single_machine_cluster_both_substrates():
 def test_exact_budget_batch_is_legal_one_word_over_raises():
     # 5 records × 3 words on one machine: exactly S=15 is fine...
     for sub in ("object", "columnar"):
-        co = make_cluster(2, 15, substrate=sub)
+        co = MPCCluster(2, 15) if sub == "object" else ColumnarCluster(2, 15)
         if sub == "object":
             co.load([("r", i, 0) for i in range(5)], by=lambda rec: 0)
             assert co.machines[0].stored_words == 15
@@ -258,10 +231,10 @@ def test_exact_budget_batch_is_legal_one_word_over_raises():
             assert co.machines[0].stored_words == 15
         assert co.violations == []
     # ... and one more word over the budget raises on both substrates.
-    co = make_cluster(2, 14, substrate="object")
+    co = MPCCluster(2, 14)
     with pytest.raises(SpaceViolation):
         co.load([("r", i, 0) for i in range(5)], by=lambda rec: 0)
-    cc = make_cluster(2, 14, substrate="columnar")
+    cc = ColumnarCluster(2, 14)
     with pytest.raises(SpaceViolation):
         cc.load_batches(
             [
@@ -333,7 +306,7 @@ def test_tree_broadcast_parity():
     co, cc = pair(n_machines=9, words=1000)
     co.load([])
     cc.load_batches([])
-    r_o = tree_broadcast(co, (1.0, 2.0, 3.0), tag="cfg")
+    r_o = ref.tree_broadcast(co, (1.0, 2.0, 3.0), tag="cfg")
     r_c = tree_broadcast(cc, (1.0, 2.0, 3.0), tag="cfg")
     assert r_o == r_c >= 1
     assert ledger_of(co) == ledger_of(cc)
@@ -352,7 +325,7 @@ def test_tree_reduce_parity_with_vector():
     cc.load_batches(
         [ColumnBatch("val", {"v": np.asarray(vals, dtype=np.int64)}, key="v")]
     )
-    total_o, r_o = tree_reduce(
+    total_o, r_o = ref.tree_reduce(
         co, extract=lambda rec: rec[1], combine=lambda a, b: a + b, zero=0
     )
     # Columnar: per-machine partials computed vectorized, same fold tree.
@@ -366,10 +339,32 @@ def test_tree_reduce_parity_with_vector():
     assert not cc.has_kind("reduce")
 
 
+def test_tree_reduce_float_fold_order_parity():
+    # 40 machines at fan-out 2 give a six-level tree, so parents merge
+    # several float partials: the fold order must be the oracle's.  A
+    # 4-word budget forces fan-out 2 and overflows storage, so both
+    # clusters run non-strict and must record the same violations.
+    rng = np.random.default_rng(11)
+    vals = (rng.random(200) * 10.0 ** rng.integers(-8, 8, 200)).tolist()
+    co, cc = pair(n_machines=40, words=4, strict=False)
+    co.load([("val", v) for v in vals])
+    cc.load_batches([ColumnBatch("val", {"v": np.asarray(vals)})])
+    total_o, r_o = ref.tree_reduce(
+        co, extract=lambda rec: rec[1], combine=lambda a, b: a + b, zero=0.0
+    )
+    batch, home = cc.rows("val")
+    partials = np.bincount(home, weights=batch.cols["v"], minlength=40)
+    total_c, r_c = tree_reduce_vector(cc, partials.reshape(-1, 1))
+    assert r_o == r_c >= 5
+    assert total_o == total_c[0]
+    assert ledger_of(co) == ledger_of(cc)
+    assert co.violations == cc.violations != []
+
+
 def test_tree_reduce_vector_requires_columnar_and_shape():
     co, cc = pair(n_machines=3, words=100)
     with pytest.raises(TypeError, match="tree_reduce_vector"):
-        tree_reduce(cc, lambda r: r, lambda a, b: a, 0)
+        ref.tree_reduce(cc, lambda r: r, lambda a, b: a, 0)
     with pytest.raises(ValueError, match="partial rows"):
         tree_reduce_vector(cc, np.zeros((2, 1)))
 
@@ -382,7 +377,7 @@ def test_sample_sort_parity():
     cc.load_batches(
         [ColumnBatch("rec", {"v": np.asarray(values, dtype=np.int64)}, key="v")]
     )
-    r_o = sample_sort(co, key_fn=lambda rec: rec[1], seed=1)
+    r_o = ref.sample_sort(co, key_fn=lambda rec: rec[1], seed=1)
     r_c = sample_sort(cc, seed=1)
     assert r_o == r_c >= 3
     assert ledger_of(co) == ledger_of(cc)
@@ -401,7 +396,7 @@ def test_property_sample_sort_parity(values, n_machines):
     cc.load_batches(
         [ColumnBatch("rec", {"v": np.asarray(values, dtype=np.int64)}, key="v")]
     )
-    sample_sort(co, key_fn=lambda rec: rec[1], seed=0)
+    ref.sample_sort(co, key_fn=lambda rec: rec[1], seed=0)
     sample_sort(cc, seed=0)
     assert ledger_of(co) == ledger_of(cc)
     assert [rec[1] for m in co.machines for rec in m.storage] == sorted(values)
@@ -416,7 +411,7 @@ def test_collect_balls_parity_with_degree_zero_vertices():
     # Vertices 5 and 6 are isolated; the path 0-1-2-3-4 is connected.
     edges = [(i, i + 1) for i in range(4)]
     co, cc = pair(n_machines=3, words=10_000)
-    balls_o, r_o = collect_balls(co, 7, edges, radius=2)
+    balls_o, r_o = ref.collect_balls(co, 7, edges, radius=2)
     balls_c, r_c = collect_balls(cc, 7, edges, radius=2)
     assert r_o == r_c == 2
     assert balls_o == balls_c
@@ -430,7 +425,7 @@ def test_collect_balls_parity_random_graph():
     ea, eb = inst.graph.undirected_edges()
     edges = list(zip(ea.tolist(), eb.tolist()))
     co, cc = pair(n_machines=4, words=100_000)
-    balls_o, r_o = collect_balls(co, inst.graph.n_vertices, edges, radius=4)
+    balls_o, r_o = ref.collect_balls(co, inst.graph.n_vertices, edges, radius=4)
     balls_c, r_c = collect_balls(cc, inst.graph.n_vertices, edges, radius=4)
     assert balls_o == balls_c
     assert r_o == r_c
@@ -438,11 +433,25 @@ def test_collect_balls_parity_random_graph():
     assert machine_counters(co) == machine_counters(cc)
 
 
+def test_collect_balls_parity_truncating_radius():
+    # Radius 3 is not a power of two: the last join overshoots and the
+    # truncation to the target radius decides which edges stay.
+    inst = union_of_forests(12, 10, 2, seed=9)
+    ea, eb = inst.graph.undirected_edges()
+    edges = list(zip(ea.tolist(), eb.tolist()))
+    co, cc = pair(n_machines=5, words=100_000)
+    balls_o, r_o = ref.collect_balls(co, inst.graph.n_vertices, edges, radius=3)
+    balls_c, r_c = collect_balls(cc, inst.graph.n_vertices, edges, radius=3)
+    assert balls_o == balls_c
+    assert r_o == r_c == 4
+    assert ledger_of(co) == ledger_of(cc)
+
+
 def test_collect_balls_custom_owner_parity():
     edges = [(0, 1), (1, 2), (2, 3)]
     co, cc = pair(n_machines=3, words=10_000)
     owner = lambda v: (v * 2 + 1) % 3
-    balls_o, _ = collect_balls(co, 4, edges, radius=2, owner_of_vertex=owner)
+    balls_o, _ = ref.collect_balls(co, 4, edges, radius=2, owner_of_vertex=owner)
     balls_c, _ = collect_balls(cc, 4, edges, radius=2, owner_of_vertex=owner)
     assert balls_o == balls_c
     assert ledger_of(co) == ledger_of(cc)
@@ -456,7 +465,7 @@ def test_direct_simulation_bitwise_parity():
     inst = union_of_forests(20, 16, 3, capacity=2, seed=7)
     co = MPCCluster(9, 8192)
     cc = ColumnarCluster(9, 8192)
-    res_o = simulate_local_rounds_on_cluster(
+    res_o = ref.simulate_local_rounds_on_cluster(
         inst.graph, inst.capacities, 0.2, tau=6, cluster=co
     )
     res_c = simulate_local_rounds_on_cluster(
@@ -475,22 +484,79 @@ def test_direct_simulation_bitwise_parity():
 def test_property_direct_simulation_parity(seed, tau):
     inst = union_of_forests(10, 8, 2, capacity=2, seed=seed)
     kwargs = dict(space_slack=1024.0)
-    res_o = simulate_local_rounds_on_cluster(
-        inst.graph, inst.capacities, 0.3, tau=tau, substrate="object", **kwargs
+    res_o = ref.simulate_local_rounds_on_cluster(
+        inst.graph, inst.capacities, 0.3, tau=tau, **kwargs
     )
     res_c = simulate_local_rounds_on_cluster(
-        inst.graph, inst.capacities, 0.3, tau=tau, substrate="columnar", **kwargs
+        inst.graph, inst.capacities, 0.3, tau=tau, **kwargs
     )
     assert np.array_equal(res_o.beta_exp, res_c.beta_exp)
     assert np.array_equal(res_o.alloc, res_c.alloc)
     assert res_o.mpc_rounds == res_c.mpc_rounds
 
 
+def test_direct_simulation_parity_at_bench_scale():
+    # 1,174 edges on 20 machines of S = 64·√400 = 1,280 words, τ = 8.
+    inst = union_of_forests(200, 200, 3, capacity=2, seed=0)
+    g = inst.graph
+    sizing = dict(
+        total_words=8 * (g.n_edges + g.n_vertices) + 16,
+        n_for_alpha=g.n_vertices, alpha=0.5, slack=64.0,
+    )
+    co, cc = ref.cluster_for(**sizing), cluster_for(**sizing)
+    assert co.n_machines == cc.n_machines == 20
+    res_o = ref.simulate_local_rounds_on_cluster(
+        g, inst.capacities, 0.2, tau=8, cluster=co
+    )
+    res_c = simulate_local_rounds_on_cluster(
+        g, inst.capacities, 0.2, tau=8, cluster=cc
+    )
+    assert np.array_equal(res_o.beta_exp, res_c.beta_exp)
+    assert np.array_equal(res_o.alloc, res_c.alloc)
+    assert res_o.violations == res_c.violations == []
+    assert ledger_of(co) == ledger_of(cc)
+
+
+def test_faithful_driver_parity_at_bench_scale():
+    inst = union_of_forests(48, 48, 2, capacity=2, seed=0)
+    kwargs = dict(lam=2, mode="faithful", seed=0, sample_budget=6, space_slack=1024.0)
+    with per_record_driver():
+        res_o = solve_allocation_mpc(inst, 0.2, **kwargs)
+    res_c = solve_allocation_mpc(inst, 0.2, **kwargs)
+    assert res_o.ledger.by_category == res_c.ledger.by_category
+    assert res_o.ledger.peak_machine_words == res_c.ledger.peak_machine_words
+    assert res_o.ledger.trajectory == res_c.ledger.trajectory
+    assert res_o.ledger.violations == res_c.ledger.violations == []
+    assert res_o.certificate == res_c.certificate
+    assert np.array_equal(res_o.allocation.x, res_c.allocation.x)
+
+
+def test_faithful_driver_parity_across_machines():
+    # The other driver-level instances fit on one machine, where no
+    # exchange moves a word; at n = 256 the fixed S = 16,384 words
+    # needs two machines.
+    inst = skew_frontier_instance(256, seed=0)
+    kwargs = dict(
+        lam=4, mode="faithful", seed=0, sample_budget=6, block_override=1,
+        space_slack=16384 / inst.graph.n_vertices ** 0.5,
+        budget_policy="adaptive",
+    )
+    with per_record_driver():
+        res_o = solve_allocation_mpc(inst, 0.2, **kwargs)
+    res_c = solve_allocation_mpc(inst, 0.2, **kwargs)
+    assert sum(res_c.ledger.trajectory[0]["words_moved"].values()) > 0
+    assert res_o.ledger.by_category == res_c.ledger.by_category
+    assert res_o.ledger.trajectory == res_c.ledger.trajectory
+    assert res_o.certificate == res_c.certificate
+    assert np.array_equal(res_o.allocation.x, res_c.allocation.x)
+
+
 def test_faithful_driver_substrate_parity():
     inst = union_of_forests(14, 12, 2, capacity=2, seed=5)
     kwargs = dict(lam=2, mode="faithful", seed=123, sample_budget=6, space_slack=512.0)
-    res_o = solve_allocation_mpc(inst, 0.2, substrate="object", **kwargs)
-    res_c = solve_allocation_mpc(inst, 0.2, substrate="columnar", **kwargs)
+    with per_record_driver():
+        res_o = solve_allocation_mpc(inst, 0.2, **kwargs)
+    res_c = solve_allocation_mpc(inst, 0.2, **kwargs)
     assert res_o.ledger.by_category == res_c.ledger.by_category
     assert res_o.mpc_rounds == res_c.mpc_rounds
     assert res_o.ledger.phases == res_c.ledger.phases
@@ -501,15 +567,3 @@ def test_faithful_driver_substrate_parity():
     assert res_o.certificate == res_c.certificate  # incl. float upper_mass
     assert np.array_equal(res_o.allocation.x, res_c.allocation.x)
     assert res_o.match_weight == res_c.match_weight
-    assert res_o.meta["substrate"] == "object"
-    assert res_c.meta["substrate"] == "columnar"
-
-
-def test_faithful_driver_respects_active_substrate():
-    inst = union_of_forests(10, 8, 2, capacity=2, seed=3)
-    with use_substrate("object"):
-        res = solve_allocation_mpc(
-            inst, 0.2, lam=2, mode="faithful", seed=9, sample_budget=6,
-            space_slack=512.0,
-        )
-    assert res.meta["substrate"] == "object"

@@ -14,8 +14,12 @@ from hypothesis import given, settings, strategies as st
 from repro.core.proportional import ProportionalRun
 from repro.graphs import build_graph
 from repro.graphs.generators import star_instance, union_of_forests
-from repro.local.engine import LocalAlgorithm, LocalEngine
-from repro.local.allocation_vertex import merged_neighbors, run_local_proportional
+from tests.local_reference import (
+    LocalAlgorithm,
+    LocalEngine,
+    merged_neighbors,
+    run_local_proportional,
+)
 
 
 class EchoCounter(LocalAlgorithm):

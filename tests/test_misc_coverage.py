@@ -9,8 +9,9 @@ import pytest
 from repro.graphs import build_graph, profile_graph
 from repro.graphs.generators import star_instance, union_of_forests
 from repro.graphs.instances import AllocationInstance
-from repro.mpc.cluster import MPCCluster
-from repro.mpc.primitives import sample_sort, tree_broadcast, tree_reduce
+from repro.mpc import ColumnarCluster, Shipment
+from repro.mpc.columns import ColumnBatch
+from repro.mpc.primitives import sample_sort, tree_broadcast, tree_reduce_vector
 
 
 # ----------------------------------------------------------------------
@@ -46,65 +47,60 @@ def test_profile_exported_from_graphs_package():
 # ----------------------------------------------------------------------
 
 def test_sample_sort_single_machine():
-    c = MPCCluster(1, 10_000)
-    c.load([("r", v) for v in (3, 1, 2)])
-    sample_sort(c, key_fn=lambda rec: rec[1])
-    assert [rec[1] for rec in c.machines[0].storage] == [1, 2, 3]
+    c = ColumnarCluster(1, 10_000)
+    c.load_batches([ColumnBatch("r", {"v": np.array([3, 1, 2])}, key="v")])
+    sample_sort(c)
+    assert c.rows("r")[0].cols["v"].tolist() == [1, 2, 3]
 
 
 def test_sample_sort_empty():
-    c = MPCCluster(3, 1000)
-    c.load([])
-    sample_sort(c, key_fn=lambda rec: rec)
-    assert c.all_records() == []
+    c = ColumnarCluster(3, 1000)
+    c.load_batches([ColumnBatch("r", {"v": np.empty(0, dtype=np.int64)}, key="v")])
+    sample_sort(c)
+    assert c.kinds() == ["r"]
+    assert c.total_stored_words() == 0
 
 
 def test_sample_sort_duplicate_keys():
-    c = MPCCluster(3, 10_000)
-    c.load([("r", v) for v in [5, 5, 5, 1, 1, 9]])
-    sample_sort(c, key_fn=lambda rec: rec[1], seed=2)
-    flat = [rec[1] for m in c.machines for rec in m.storage]
-    assert flat == [1, 1, 5, 5, 5, 9]
+    c = ColumnarCluster(3, 10_000)
+    c.load_batches([ColumnBatch("r", {"v": np.array([5, 5, 5, 1, 1, 9])}, key="v")])
+    sample_sort(c, seed=2)
+    batch, home = c.rows("r")
+    assert batch.cols["v"].tolist() == [1, 1, 5, 5, 5, 9]
+    assert np.all(home[:-1] <= home[1:])
 
 
 def test_tree_reduce_empty_cluster():
-    c = MPCCluster(4, 1000)
-    c.load([])
-    total, _ = tree_reduce(c, extract=lambda r: 1, combine=lambda a, b: a + b, zero=0)
-    assert total == 0
+    c = ColumnarCluster(4, 1000)
+    c.load_batches([])
+    total, _ = tree_reduce_vector(c, np.zeros((4, 1)))
+    assert total.tolist() == [0.0]
 
 
 def test_tree_broadcast_two_machines():
-    c = MPCCluster(2, 1000)
-    c.load([])
+    c = ColumnarCluster(2, 1000)
+    c.load_batches([])
     rounds = tree_broadcast(c, 42, tag="x")
     assert rounds == 1
-    assert ("x", 42) in c.machines[1].storage
+    batch, home = c.rows("x")
+    assert home.tolist() == [0, 1]
+    assert batch.payload_row(1).tolist() == [42]
 
 
 def test_cluster_round_log_labels():
-    c = MPCCluster(2, 1000)
-    c.load([("a", 1)])
-
-    def keep(mid, records):
-        for rec in records:
-            yield mid, rec
-
-    c.exchange(keep, label="my-label")
+    c = ColumnarCluster(2, 1000)
+    c.load_batches([ColumnBatch("a", {"k": np.array([1])})])
+    c.exchange_columnar(c.keep_all_shipments(), label="my-label")
     assert c.round_log[-1].label == "my-label"
     assert c.round_log[-1].round_index == 1
 
 
 def test_exchange_bad_destination():
-    c = MPCCluster(2, 1000)
-    c.load([("a", 1)])
-
-    def bad(mid, records):
-        for rec in records:
-            yield 7, rec
-
+    c = ColumnarCluster(2, 1000)
+    c.load_batches([ColumnBatch("a", {"k": np.array([1])})])
+    batch, home = c.rows("a")
     with pytest.raises(ValueError, match="out of range"):
-        c.exchange(bad)
+        c.exchange_columnar([Shipment(batch, home, np.array([7]))])
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Adaptive budget throttling on the faithful MPC path (DESIGN.md §13).
 
 Covers the controller/estimator units, the driver integration
-(trajectory rows, discarded attempts, certificate crosscheck,
-substrate parity), and the two load-bearing claims of the feature:
+(trajectory rows, discarded attempts, certificate crosscheck, parity
+with the per-record oracle cluster), and the two load-bearing claims
+of the feature:
 
 * at one shared absolute ``S`` the adaptive policy completes instances
   where the same cap budget held *fixed* dies on a SpaceViolation, and
@@ -18,7 +19,8 @@ import pytest
 from repro.core.mpc_driver import solve_allocation_mpc
 from repro.graphs.generators import skew_frontier_instance, union_of_forests
 from repro.mpc.adaptive import AdaptiveBudgetController, PeakHoldEstimator
-from repro.mpc.machine import SpaceViolation
+from repro.mpc import SpaceViolation
+from tests.mpc_reference import per_record_driver
 
 EPS = 0.2
 ALPHA = 0.5
@@ -35,7 +37,7 @@ _METRIC_KEYS = {
 }
 
 
-def _solve_skew(n, *, policy, substrate=None, safety_fraction=0.8):
+def _solve_skew(n, *, policy, safety_fraction=0.8):
     instance = skew_frontier_instance(n, seed=0)
     kwargs = dict(
         lam=4, mode="faithful", seed=0, sample_budget=CAP, alpha=ALPHA,
@@ -45,8 +47,6 @@ def _solve_skew(n, *, policy, substrate=None, safety_fraction=0.8):
     )
     if policy == "adaptive":
         kwargs["safety_fraction"] = safety_fraction
-    if substrate is not None:
-        kwargs["substrate"] = substrate
     return solve_allocation_mpc(instance, EPS, **kwargs)
 
 
@@ -286,7 +286,7 @@ class TestTrajectory:
 
 
 # ----------------------------------------------------------------------
-# Determinism, substrate parity, certificates
+# Determinism, oracle parity, certificates
 # ----------------------------------------------------------------------
 class TestDeterminismAndParity:
     def test_adaptive_is_deterministic(self):
@@ -297,8 +297,9 @@ class TestDeterminismAndParity:
         assert a.certificate == b.certificate
 
     def test_substrates_agree_bit_for_bit(self):
-        res_o = _solve_skew(64, policy="adaptive", substrate="object")
-        res_c = _solve_skew(64, policy="adaptive", substrate="columnar")
+        with per_record_driver():
+            res_o = _solve_skew(64, policy="adaptive")
+        res_c = _solve_skew(64, policy="adaptive")
         assert np.array_equal(res_o.allocation.x, res_c.allocation.x)
         assert res_o.ledger.by_category == res_c.ledger.by_category
         assert res_o.ledger.trajectory == res_c.ledger.trajectory

@@ -1,4 +1,10 @@
-"""Tests for the MPC cluster, primitives, exponentiation, cost model."""
+"""Tests for the MPC cluster, primitives, exponentiation, cost model.
+
+The cluster, primitive and exponentiation tests run on the shipped
+:class:`ColumnarCluster` through its column API.  The last section
+tests the per-record oracle's own machinery (``tests/mpc_reference.py``),
+which the parity suite relies on.
+"""
 
 from __future__ import annotations
 
@@ -8,107 +14,46 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.graphs import build_graph
 from repro.graphs.generators import star_instance, union_of_forests
-from repro.mpc.cluster import MPCCluster, cluster_for
+from repro.mpc import ColumnarCluster, Shipment, SpaceViolation, cluster_for
+from repro.mpc.columns import ColumnBatch
 from repro.mpc.costmodel import MPCCostModel
 from repro.mpc.exponentiation import collect_balls, expected_doubling_rounds
-from repro.mpc.machine import Machine, SpaceViolation, sizeof_words
 from repro.mpc.primitives import (
     fan_out,
     route_by_key,
     sample_sort,
     tree_broadcast,
     tree_depth,
-    tree_reduce,
+    tree_reduce_vector,
 )
+from tests import mpc_reference as ref
+from tests.mpc_reference import Machine, MPCCluster, sizeof_words
+
+
+def keyed(kind: str, values, key: str = "v") -> ColumnBatch:
+    return ColumnBatch(kind, {key: np.asarray(values, dtype=np.int64)}, key=key)
+
+
+def per_machine(cluster: ColumnarCluster, kind: str, col: str = "v") -> list[list]:
+    batch, home = cluster.rows(kind)
+    return [
+        batch.cols[col][home == m].tolist() for m in range(cluster.n_machines)
+    ]
 
 
 # ----------------------------------------------------------------------
-# sizeof / machine
+# cluster
 # ----------------------------------------------------------------------
-
-def test_sizeof_words():
-    assert sizeof_words(1) == 1
-    assert sizeof_words(2.5) == 1
-    assert sizeof_words("tag") == 1
-    assert sizeof_words(("edge", 1, 2)) == 3
-    assert sizeof_words([("a", 1), ("b", 2)]) == 4
-    assert sizeof_words({"k": 1}) == 2
-    assert sizeof_words(np.int64(3)) == 1
-
-
-def test_machine_budget_checks():
-    m = Machine(0, capacity_words=3)
-    m.store((1, 2))
-    assert m.check_budget(strict=True) == []
-    m.store((1, 2))
-    with pytest.raises(SpaceViolation):
-        m.check_budget(strict=True)
-    problems = m.check_budget(strict=False)
-    assert len(problems) == 1
-
-
-def test_cluster_load_round_robin():
-    c = MPCCluster(3, 100)
-    c.load(list(range(10)))
-    sizes = [len(m.storage) for m in c.machines]
-    assert sum(sizes) == 10
-    assert max(sizes) - min(sizes) <= 1
-
-
-def test_exchange_moves_and_accounts():
-    c = MPCCluster(2, 100)
-    c.load([("x", 1), ("x", 2)], by=lambda r: 0)
-
-    def mapper(mid, records):
-        for rec in records:
-            yield 1, rec
-
-    c.exchange(mapper)
-    assert len(c.machines[0].storage) == 0
-    assert len(c.machines[1].storage) == 2
-    assert c.rounds_executed == 1
-    assert c.round_log[0].total_words_moved == 4
-    assert c.machines[1].received_words_this_round == 4
-
-
-def test_exchange_local_restore_free():
-    c = MPCCluster(2, 100)
-    c.load([1, 2, 3, 4])
-
-    def keep(mid, records):
-        for rec in records:
-            yield mid, rec
-
-    c.exchange(keep)
-    assert all(m.sent_words_this_round == 0 for m in c.machines)
-
 
 def test_space_violation_on_traffic():
     # One 2-word record per machine fits the 3-word budget; funnelling
     # both onto machine 1 breaches it.
-    c = MPCCluster(2, words_per_machine=3)
-    c.load([("a", 1), ("b", 2)])
-
-    def flood(mid, records):
-        for rec in records:
-            yield 1, rec
-
+    c = ColumnarCluster(2, words_per_machine=3)
+    c.load_batches([keyed("r", [1, 2])])
+    batch, home = c.rows("r")
     with pytest.raises(SpaceViolation):
-        c.exchange(flood)
-
-
-def test_nonstrict_records_violations():
-    c = MPCCluster(2, words_per_machine=3, strict=False)
-    c.load([("a", 1), ("b", 2)])
-
-    def flood(mid, records):
-        for rec in records:
-            yield 1, rec
-
-    c.exchange(flood)
-    assert c.violations
+        c.exchange_columnar([Shipment(batch, home, np.ones(2, dtype=np.int64))])
 
 
 def test_cluster_for_sizing():
@@ -122,57 +67,54 @@ def test_cluster_for_sizing():
 # ----------------------------------------------------------------------
 
 def test_route_by_key_groups():
-    c = MPCCluster(4, 1000)
-    c.load([("v", i, i * 10) for i in range(20)])
-    route_by_key(c, key_fn=lambda rec: rec[1])
-    for m in c.machines:
-        for rec in m.storage:
-            assert rec[1] % 4 == m.machine_id
+    c = ColumnarCluster(4, 1000)
+    c.load_batches([
+        ColumnBatch(
+            "v",
+            {"k": np.arange(20, dtype=np.int64), "x": np.arange(20, dtype=np.int64) * 10},
+            key="k",
+        )
+    ])
+    route_by_key(c)
+    batch, home = c.rows("v")
+    assert batch.n_records == 20
+    assert np.array_equal(batch.cols["k"] % 4, home)
 
 
 def test_tree_broadcast_reaches_everyone():
-    c = MPCCluster(9, 1000)
-    c.load([])
+    c = ColumnarCluster(9, 1000)
+    c.load_batches([])
     rounds = tree_broadcast(c, (1, 2, 3), tag="cfg")
     assert rounds >= 1
-    for m in c.machines:
-        assert ("cfg", (1, 2, 3)) in m.storage
+    batch, home = c.rows("cfg")
+    assert sorted(home.tolist()) == list(range(9))
+    assert all(batch.payload_row(i).tolist() == [1, 2, 3] for i in range(9))
 
 
 def test_tree_broadcast_single_machine():
-    c = MPCCluster(1, 100)
-    c.load([])
-    assert tree_broadcast(c, "p") == 0
-    assert ("bcast", "p") in c.machines[0].storage
+    c = ColumnarCluster(1, 100)
+    c.load_batches([])
+    assert tree_broadcast(c, 7) == 0
+    batch, home = c.rows("bcast")
+    assert home.tolist() == [0]
+    assert batch.payload_row(0).tolist() == [7]
 
 
 def test_tree_reduce_sums():
-    c = MPCCluster(5, 1000)
-    c.load([("val", i) for i in range(1, 11)])
-    total, rounds = tree_reduce(
-        c, extract=lambda rec: rec[1], combine=lambda a, b: a + b, zero=0
-    )
-    assert total == 55
+    c = ColumnarCluster(5, 1000)
+    c.load_batches([keyed("val", range(1, 11))])
+    batch, home = c.rows("val")
+    partials = np.bincount(home, weights=batch.cols["v"], minlength=5)
+    total, rounds = tree_reduce_vector(c, partials.reshape(-1, 1))
+    assert total.tolist() == [55.0]
     assert rounds >= 1
     # Original records intact, no partials left behind.
-    vals = sorted(rec[1] for rec in c.all_records())
-    assert vals == list(range(1, 11))
-
-
-def test_tree_reduce_skips_none():
-    c = MPCCluster(3, 1000)
-    c.load([("a", 5), ("skip", 7)])
-    total, _ = tree_reduce(
-        c,
-        extract=lambda rec: rec[1] if rec[0] == "a" else None,
-        combine=lambda a, b: a + b,
-        zero=0,
-    )
-    assert total == 5
+    assert sorted(c.rows("val")[0].cols["v"].tolist()) == list(range(1, 11))
+    assert c.kinds() == ["val"]
 
 
 def test_fan_out_and_depth():
-    c = MPCCluster(8, 100)
+    c = ColumnarCluster(8, 100)
     assert fan_out(c, 10) == 10
     assert tree_depth(8, 2) == 3
     assert tree_depth(1, 2) == 1
@@ -183,7 +125,7 @@ def test_fan_out_and_depth():
 def test_fan_out_raises_on_oversized_payload():
     """A payload beyond S cannot be shipped at all: that is a budget
     violation, not a silent fan-out-2 tree."""
-    c = MPCCluster(8, 100)
+    c = ColumnarCluster(8, 100)
     with pytest.raises(SpaceViolation, match="exceeds the per-machine budget"):
         fan_out(c, 101)
     # The boundary payload (exactly S) is shippable, at the documented
@@ -194,7 +136,7 @@ def test_fan_out_raises_on_oversized_payload():
 def test_fan_out_nonstrict_records_violation_and_clamps():
     """strict=False clusters record the violation and keep the
     historical clamp, like every other budget check."""
-    c = MPCCluster(8, 100, strict=False)
+    c = ColumnarCluster(8, 100, strict=False)
     assert fan_out(c, 101) == 2
     assert any("exceeds the per-machine budget" in v for v in c.violations)
 
@@ -202,12 +144,12 @@ def test_fan_out_nonstrict_records_violation_and_clamps():
 def test_fan_out_documented_clamp_when_budget_tight():
     """S // payload == 1 clamps to fan-out 2; the per-round traffic
     check still polices a parent that really sends to two children."""
-    c = MPCCluster(4, 100)
+    c = ColumnarCluster(4, 100)
     assert fan_out(c, 60) == 2
     # Broadcasting a 59-word payload (60 with the tag) through 4
     # machines makes the root send 2 copies = 120 > S in one round:
     # the exchange-time traffic check catches what fan_out clamped.
-    c.load([])
+    c.load_batches([])
     with pytest.raises(SpaceViolation, match="in one round"):
         tree_broadcast(c, tuple(range(59)))
 
@@ -215,11 +157,11 @@ def test_fan_out_documented_clamp_when_budget_tight():
 def test_sample_sort_orders_globally():
     rng = np.random.default_rng(3)
     values = rng.permutation(60).tolist()
-    c = MPCCluster(4, 10_000)
-    c.load([("rec", v) for v in values])
-    rounds = sample_sort(c, key_fn=lambda rec: rec[1], seed=1)
+    c = ColumnarCluster(4, 10_000)
+    c.load_batches([keyed("rec", values)])
+    rounds = sample_sort(c, seed=1)
     assert rounds >= 3
-    chunks = [[rec[1] for rec in m.storage] for m in c.machines]
+    chunks = per_machine(c, "rec")
     flat = [v for chunk in chunks for v in chunk]
     assert flat == sorted(values)  # concatenation of machines is sorted
     for chunk in chunks:
@@ -229,10 +171,10 @@ def test_sample_sort_orders_globally():
 @given(st.lists(st.integers(0, 1000), min_size=1, max_size=80), st.integers(2, 6))
 @settings(max_examples=25, deadline=None)
 def test_property_sample_sort(values, n_machines):
-    c = MPCCluster(n_machines, 100_000)
-    c.load([("rec", v) for v in values])
-    sample_sort(c, key_fn=lambda rec: rec[1], seed=0)
-    flat = [rec[1] for m in c.machines for rec in m.storage]
+    c = ColumnarCluster(n_machines, 100_000)
+    c.load_batches([keyed("rec", values)])
+    sample_sort(c, seed=0)
+    flat = [v for chunk in per_machine(c, "rec") for v in chunk]
     assert flat == sorted(values)
 
 
@@ -245,7 +187,7 @@ def path_edges(n):
 
 
 def test_collect_balls_radius_one():
-    c = MPCCluster(3, 10_000)
+    c = ColumnarCluster(3, 10_000)
     balls, rounds = collect_balls(c, 5, path_edges(5), radius=1)
     assert rounds == 0
     assert balls[0] == ((0, 1),)
@@ -253,7 +195,7 @@ def test_collect_balls_radius_one():
 
 
 def test_collect_balls_radius_two_path():
-    c = MPCCluster(3, 10_000)
+    c = ColumnarCluster(3, 10_000)
     balls, rounds = collect_balls(c, 6, path_edges(6), radius=2)
     assert rounds == 2  # one doubling join = 2 exchanges
     # Ball of radius 2 around vertex 2: edges touching distance ≤ 1.
@@ -261,7 +203,7 @@ def test_collect_balls_radius_two_path():
 
 
 def test_collect_balls_radius_four_path():
-    c = MPCCluster(4, 10_000)
+    c = ColumnarCluster(4, 10_000)
     balls, rounds = collect_balls(c, 9, path_edges(9), radius=4)
     assert rounds == 2 * expected_doubling_rounds(4)
     assert balls[4] == tuple((i, i + 1) for i in range(8))
@@ -271,7 +213,7 @@ def test_collect_balls_star():
     inst = star_instance(5)
     ea, eb = inst.graph.undirected_edges()
     edges = list(zip(ea.tolist(), eb.tolist()))
-    c = MPCCluster(3, 10_000)
+    c = ColumnarCluster(3, 10_000)
     balls, _ = collect_balls(c, inst.graph.n_vertices, edges, radius=2)
     # Center (vertex 5) at radius 2 sees the whole star.
     assert len(balls[5]) == 5
@@ -280,7 +222,7 @@ def test_collect_balls_star():
 
 
 def test_collect_balls_validates_radius():
-    c = MPCCluster(2, 1000)
+    c = ColumnarCluster(2, 1000)
     with pytest.raises(ValueError):
         collect_balls(c, 3, path_edges(3), radius=0)
 
@@ -290,7 +232,7 @@ def test_collect_balls_matches_bfs_oracle():
     g = inst.graph
     ea, eb = g.undirected_edges()
     edges = list(zip(ea.tolist(), eb.tolist()))
-    c = MPCCluster(4, 100_000)
+    c = ColumnarCluster(4, 100_000)
     balls, _ = collect_balls(c, g.n_vertices, edges, radius=3)
 
     # BFS oracle.
@@ -353,3 +295,88 @@ def test_cost_model_space_bound_shape():
 def test_cost_model_validation():
     with pytest.raises(ValueError):
         MPCCostModel(n=10, lam=2, epsilon=0.25, alpha=1.5)
+
+
+# ----------------------------------------------------------------------
+# the per-record oracle's own machinery (tests/mpc_reference.py)
+# ----------------------------------------------------------------------
+
+def test_sizeof_words():
+    assert sizeof_words(1) == 1
+    assert sizeof_words(2.5) == 1
+    assert sizeof_words("tag") == 1
+    assert sizeof_words(("edge", 1, 2)) == 3
+    assert sizeof_words([("a", 1), ("b", 2)]) == 4
+    assert sizeof_words({"k": 1}) == 2
+    assert sizeof_words(np.int64(3)) == 1
+
+
+def test_machine_budget_checks():
+    m = Machine(0, capacity_words=3)
+    m.store((1, 2))
+    assert m.check_budget(strict=True) == []
+    m.store((1, 2))
+    with pytest.raises(SpaceViolation):
+        m.check_budget(strict=True)
+    problems = m.check_budget(strict=False)
+    assert len(problems) == 1
+
+
+def test_cluster_load_round_robin():
+    c = MPCCluster(3, 100)
+    c.load(list(range(10)))
+    sizes = [len(m.storage) for m in c.machines]
+    assert sum(sizes) == 10
+    assert max(sizes) - min(sizes) <= 1
+
+
+def test_exchange_moves_and_accounts():
+    c = MPCCluster(2, 100)
+    c.load([("x", 1), ("x", 2)], by=lambda r: 0)
+
+    def mapper(mid, records):
+        for rec in records:
+            yield 1, rec
+
+    c.exchange(mapper)
+    assert len(c.machines[0].storage) == 0
+    assert len(c.machines[1].storage) == 2
+    assert c.rounds_executed == 1
+    assert c.round_log[0].total_words_moved == 4
+    assert c.machines[1].received_words_this_round == 4
+
+
+def test_exchange_local_restore_free():
+    c = MPCCluster(2, 100)
+    c.load([1, 2, 3, 4])
+
+    def keep(mid, records):
+        for rec in records:
+            yield mid, rec
+
+    c.exchange(keep)
+    assert all(m.sent_words_this_round == 0 for m in c.machines)
+
+
+def test_nonstrict_records_violations():
+    c = MPCCluster(2, words_per_machine=3, strict=False)
+    c.load([("a", 1), ("b", 2)])
+
+    def flood(mid, records):
+        for rec in records:
+            yield 1, rec
+
+    c.exchange(flood)
+    assert c.violations
+
+
+def test_tree_reduce_skips_none():
+    c = MPCCluster(3, 1000)
+    c.load([("a", 5), ("skip", 7)])
+    total, _ = ref.tree_reduce(
+        c,
+        extract=lambda rec: rec[1] if rec[0] == "a" else None,
+        combine=lambda a, b: a + b,
+        zero=0,
+    )
+    assert total == 5

@@ -12,7 +12,7 @@ from repro.core.sampled import SampledRun
 from repro.core.trace import RoundTrace, run_with_trace
 from repro.graphs import build_graph, degeneracy, exact_arboricity
 from repro.graphs.generators import slow_spread_instance, union_of_forests
-from repro.mpc.cluster import MPCCluster
+from repro.mpc.columnar import ColumnarCluster
 from repro.mpc.exponentiation import collect_balls
 
 
@@ -125,7 +125,7 @@ def test_property_slow_spread_certificate_round_bounded(b, width):
 
 def test_collect_balls_radius_exceeds_diameter():
     edges = [(0, 1), (1, 2)]
-    c = MPCCluster(2, 10_000)
+    c = ColumnarCluster(2, 10_000)
     balls, _ = collect_balls(c, 3, edges, radius=8)
     # Whole graph in every ball once the radius covers the diameter.
     assert balls[0] == ((0, 1), (1, 2))
@@ -133,14 +133,14 @@ def test_collect_balls_radius_exceeds_diameter():
 
 
 def test_collect_balls_isolated_vertex():
-    c = MPCCluster(2, 10_000)
+    c = ColumnarCluster(2, 10_000)
     balls, _ = collect_balls(c, 4, [(0, 1)], radius=2)
     assert balls[3] == ()
 
 
 def test_collect_balls_disconnected_components():
     edges = [(0, 1), (2, 3)]
-    c = MPCCluster(3, 10_000)
+    c = ColumnarCluster(3, 10_000)
     balls, _ = collect_balls(c, 4, edges, radius=4)
     assert balls[0] == ((0, 1),)
     assert balls[2] == ((2, 3),)
