@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.capacities import validate_capacities
-from repro.utils.rng import as_generator
+from repro.rounding.repair import greedy_fill
 
 __all__ = ["greedy_allocation", "is_maximal_allocation"]
 
@@ -36,13 +36,19 @@ def greedy_allocation(
     shuffle — the standard randomized-greedy baseline), or
     ``"degree"`` (edges at low-degree left vertices first, a well-known
     heuristic that helps on skewed instances).
+
+    The random order is :func:`~repro.rounding.repair.greedy_fill` from
+    an empty mask, which computes the scan in a few rounds
+    (``rng.permutation(m)`` and ``rng.permutation(np.arange(m))`` draw
+    the same shuffle).  The fixed orders have no short round bound, so
+    they keep the sequential scan.
     """
+    if order == "random":
+        return greedy_fill(graph, capacities, np.zeros(graph.n_edges, dtype=bool), seed=seed)
     caps = validate_capacities(graph, capacities)
     m = graph.n_edges
     if order == "canonical":
         perm = np.arange(m, dtype=np.int64)
-    elif order == "random":
-        perm = as_generator(seed).permutation(m).astype(np.int64)
     elif order == "degree":
         perm = np.argsort(graph.left_degrees[graph.edge_u], kind="stable").astype(np.int64)
     else:

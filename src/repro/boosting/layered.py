@@ -198,10 +198,16 @@ def _proportional_layer_matching(
 
     The instance's vertices are every active head and every tail with
     capacity left among the slot's edges — a tail whose only edges
-    lead to inactive heads stays in as an isolated vertex."""
+    lead to inactive heads stays in as an isolated vertex.
+
+    The repair is canonical-order greedy from the rounded mask R:
+    accept R, then scan the remaining triples in edge-id order.  That
+    is :func:`_greedy_layer_matching` fed R's triples first and the
+    rest after; the chosen triples are returned in edge-id order, the
+    order the path walk consumes."""
     from repro.core.local_driver import solve_fractional_until_certificate
+    from repro.graphs.capacities import validate_integral_allocation
     from repro.graphs.instances import AllocationInstance
-    from repro.rounding.repair import greedy_fill
     from repro.rounding.sampling import round_best_of
 
     has_tail = tail_left > 0
@@ -223,8 +229,10 @@ def _proportional_layer_matching(
     inst = AllocationInstance(graph=sub, capacities=sub_caps, name="layer-pair")
     frac = solve_fractional_until_certificate(inst, epsilon).allocation
     rounded = round_best_of(sub, sub_caps, frac, copies=8, seed=seed)
-    mask = greedy_fill(sub, sub_caps, rounded.edge_mask, order="canonical")
-    return _greedy_layer_matching(heads[mask], tails[mask], eids[mask], tail_left[mask])
+    _, mask, _, _ = validate_integral_allocation(sub, sub_caps, rounded.edge_mask)
+    scan = np.concatenate([np.flatnonzero(mask), np.flatnonzero(~mask)])
+    chosen = _greedy_layer_matching(heads[scan], tails[scan], eids[scan], tail_left[scan])
+    return sorted(chosen, key=lambda triple: triple[2])
 
 
 def find_layered_augmenting_paths(

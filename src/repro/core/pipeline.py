@@ -198,30 +198,41 @@ class RoundingStage:
 class RepairStage:
     """Greedy maximality repair between rounding and boosting.
 
-    Continues rounding's stream (slot 1), exactly as the monolith did;
+    Runs :func:`~repro.rounding.repair.greedy_fill`, the random-order
+    greedy scan computed in rounds (DESIGN.md §2.6), on rounding's
+    stream (slot 1), which it continues exactly as the monolith did;
     monotonicity (repair can only grow the allocation) is asserted.
+    The record's detail holds ``added`` (edges the pass added),
+    ``rounds`` and ``live_edges`` (the live-edge count at the start of
+    each round).
     """
 
-    order: Literal["random", "canonical"] = "random"
     name: str = "repair"
 
     def run(self, ctx: PipelineContext) -> StageRecord:
         if ctx.edge_mask is None or ctx.rounding is None:
             raise RuntimeError("repair stage needs a rounded allocation")
         before = ctx.size
+        live_edges: list[int] = []
         mask = greedy_fill(
             ctx.instance.graph,
             ctx.instance.capacities,
             ctx.edge_mask,
-            order=self.order,
             seed=ctx.stream(ROUNDING_STREAM),
+            live_edges=live_edges,
         )
         repaired_size = int(mask.sum())
         assert repaired_size >= before
         ctx.edge_mask = mask
         ctx.repaired_size = repaired_size
         return StageRecord(
-            stage=self.name, size=repaired_size, detail={"added": repaired_size - before}
+            stage=self.name,
+            size=repaired_size,
+            detail={
+                "added": repaired_size - before,
+                "rounds": len(live_edges),
+                "live_edges": live_edges,
+            },
         )
 
 

